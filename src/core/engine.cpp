@@ -144,7 +144,7 @@ CycleStats GossipTrustEngine::run_cycle(const trust::SparseMatrix& s,
   // the previous cycle's vector instead and flag the cycle degraded;
   // `next` is still computed above so change_from_previous reports how far
   // off the abandoned aggregate was.
-  const bool degraded = !gres.converged && config_.fallback_on_nonconverged;
+  const bool degraded = !gres.converged;
 
   // Greedy-factor damping toward the power nodes selected after the
   // previous cycle — skipping anchors that have since departed, so no

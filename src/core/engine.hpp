@@ -46,12 +46,6 @@ struct GossipTrustConfig {
   simd::SimdLevel simd_level = simd::SimdLevel::kAuto;
                                    ///< gossip kernel ISA (GT_SIMD env wins;
                                    ///< bit-identical at every level)
-  /// Graceful degradation: when a cycle's gossip fails to reach epsilon-
-  /// stability within max_gossip_steps, fall back to the previous cycle's
-  /// reputation vector and flag the cycle `degraded` instead of silently
-  /// returning the biased partial aggregate. Disable to get the legacy
-  /// use-whatever-gossip-produced behavior.
-  bool fallback_on_nonconverged = true;
 };
 
 /// Per-cycle telemetry: a snapshot view over the gossip kernel's metrics

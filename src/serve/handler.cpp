@@ -1,6 +1,7 @@
 #include "serve/handler.hpp"
 
 #include <chrono>
+#include <cmath>
 
 namespace gt::serve {
 
@@ -124,6 +125,9 @@ bool ConnectionHandler::handle_frame(const FrameParser::Frame& frame,
       f.rater = get_u64(p);
       f.ratee = get_u64(p + 8);
       f.value = get_f64(p + 16);
+      // Non-finite ratings are malformed: a NaN would erase the (rater,
+      // ratee) trust edge in the ledger for good.
+      if (!std::isfinite(f.value)) return false;
       store_.enqueue_feedback(f);
       encode_ingest_resp(out, store_.feedback_enqueued());
       m_.registry->add(m_.ingests, 1, lane_);

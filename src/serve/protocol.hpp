@@ -10,7 +10,7 @@
 // Request payloads:
 //   LOOKUP        (0x01)  u64 node_id
 //   BATCH_LOOKUP  (0x02)  u32 count; u32 pad(0); count x u64 node_id
-//   INGEST        (0x03)  u64 rater; u64 ratee; f64 value
+//   INGEST        (0x03)  u64 rater; u64 ratee; f64 value (finite)
 //   STATS         (0x04)  (empty)
 //   METRICS       (0x05)  (empty)
 //   HEALTH        (0x06)  (empty)
@@ -44,10 +44,11 @@
 // unnamed).
 //
 // Malformed input — bad version, nonzero reserved bits, unknown opcode,
-// oversized or inconsistent lengths — is a protocol error: the peer closes
-// the connection loudly (counted + logged), it never guesses. All multi-
-// byte values are little-endian; encode/decode goes through memcpy so the
-// parser is free of alignment/aliasing UB and never reads past the buffer.
+// oversized or inconsistent lengths, a non-finite INGEST value — is a
+// protocol error: the peer closes the connection loudly (counted +
+// logged), it never guesses. All multi-byte values are little-endian;
+// encode/decode goes through memcpy so the parser is free of alignment/
+// aliasing UB and never reads past the buffer.
 #pragma once
 
 #include <cstddef>

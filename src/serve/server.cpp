@@ -24,6 +24,12 @@ namespace gt::serve {
 
 namespace {
 
+constexpr int kListenBacklog = 128;
+constexpr std::size_t kMaxConnections = 256;  ///< accepts beyond this are refused
+constexpr std::size_t kReadChunk = 64 * 1024;  ///< per-read buffer size
+/// Metrics lane of the one loop thread's handlers and lifecycle counters.
+constexpr std::size_t kMetricsLane = 0;
+
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
   return flags >= 0 && ::fcntl(fd, F_SETFL, flags | O_NONBLOCK) == 0;
@@ -147,9 +153,8 @@ struct Server::Connection {
   bool paused = false;  ///< reads suspended: tx backlog over the high water
 
   Connection(int fd_, ReputationStore& store, ServeMetrics& metrics,
-             std::size_t lane, const ServeObservability* obs,
-             std::uint64_t conn_id)
-      : fd(fd_), handler(store, metrics, lane, obs, conn_id) {}
+             const ServeObservability* obs, std::uint64_t conn_id)
+      : fd(fd_), handler(store, metrics, kMetricsLane, obs, conn_id) {}
 };
 
 Server::Server(ReputationStore& store, telemetry::MetricsRegistry& registry,
@@ -197,7 +202,7 @@ bool Server::start(std::string* error) {
     return fail("inet_pton");
   if (::bind(listen_fd_, reinterpret_cast<sockaddr*>(&addr), sizeof(addr)) != 0)
     return fail("bind");
-  if (::listen(listen_fd_, config_.backlog) != 0) return fail("listen");
+  if (::listen(listen_fd_, kListenBacklog) != 0) return fail("listen");
 
   socklen_t len = sizeof(addr);
   if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&addr), &len) != 0)
@@ -244,9 +249,8 @@ void Server::run_loop() {
   poller->add(wake_rd_);
 
   std::unordered_map<int, std::unique_ptr<Connection>> conns;
-  std::vector<std::uint8_t> read_buf(config_.read_chunk);
+  std::vector<std::uint8_t> read_buf(kReadChunk);
   std::vector<Poller::Event> events;
-  const std::size_t lane = config_.metrics_lane;
 
   // handler_error: the handler already counted the close; normal closes
   // (EOF, write failure, shutdown) are counted here.
@@ -255,7 +259,7 @@ void Server::run_loop() {
     ::close(fd);
     conns.erase(fd);
     active_.store(conns.size(), std::memory_order_relaxed);
-    if (!handler_error) registry_.add(metrics_.conns_closed, 1, lane);
+    if (!handler_error) registry_.add(metrics_.conns_closed, 1, kMetricsLane);
   };
 
   // Returns false when the connection died on a write error. Leaves poller
@@ -285,10 +289,10 @@ void Server::run_loop() {
   auto update_interest = [&](Connection& c) {
     const std::size_t pending = c.tx.size() - c.tx_off;
     if (pending > config_.tx_high_watermark) {
-      if (!c.paused) registry_.add(metrics_.bp_pauses, 1, lane);
+      if (!c.paused) registry_.add(metrics_.bp_pauses, 1, kMetricsLane);
       c.paused = true;
     } else if (pending <= config_.tx_low_watermark) {
-      if (c.paused) registry_.add(metrics_.bp_resumes, 1, lane);
+      if (c.paused) registry_.add(metrics_.bp_resumes, 1, kMetricsLane);
       c.paused = false;
     }
     const bool want_read = !c.paused;
@@ -307,19 +311,17 @@ void Server::run_loop() {
         if (errno == EAGAIN || errno == EWOULDBLOCK || errno == EINTR) return;
         return;  // transient accept failure; the loop will retry
       }
-      if (conns.size() >= config_.max_connections || !set_nonblocking(fd)) {
+      if (conns.size() >= kMaxConnections || !set_nonblocking(fd)) {
         ::close(fd);
         continue;
       }
-      if (config_.tcp_nodelay) {
-        const int one = 1;
-        ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
-      }
+      const int one = 1;
+      ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));
       const std::uint64_t conn_id =
           accepted_.fetch_add(1, std::memory_order_relaxed) + 1;
       conns.emplace(fd, std::make_unique<Connection>(
-                            fd, store_, metrics_, lane,
-                            &config_.observability, conn_id));
+                            fd, store_, metrics_, &config_.observability,
+                            conn_id));
       poller->add(fd);
       active_.store(conns.size(), std::memory_order_relaxed);
     }
@@ -394,7 +396,7 @@ void Server::run_loop() {
 
   for (auto& [fd, conn] : conns) {
     ::close(fd);
-    registry_.add(metrics_.conns_closed, 1, lane);
+    registry_.add(metrics_.conns_closed, 1, kMetricsLane);
   }
   conns.clear();
   active_.store(0, std::memory_order_relaxed);

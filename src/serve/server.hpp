@@ -32,9 +32,6 @@ namespace gt::serve {
 struct ServerConfig {
   std::string bind_address = "127.0.0.1";
   std::uint16_t port = 0;  ///< 0 = ephemeral; see Server::port() after start
-  int backlog = 128;
-  std::size_t max_connections = 256;  ///< accepts beyond this are refused
-  std::size_t read_chunk = 64 * 1024; ///< per-read buffer size
   /// Per-connection response backpressure: once the unsent tx backlog
   /// exceeds the high watermark the server stops reading that connection
   /// (bounding memory against clients that pipeline requests but never
@@ -42,10 +39,6 @@ struct ServerConfig {
   std::size_t tx_high_watermark = 4u << 20;
   std::size_t tx_low_watermark = 256 * 1024;
   bool use_poll = false;  ///< force the poll(2) backend even on Linux
-  bool tcp_nodelay = true;
-  /// Metrics lane used by this loop thread's handlers and lifecycle
-  /// counters; a future multi-loop server gives each loop its own lane.
-  std::size_t metrics_lane = 0;
   /// Observability context threaded into every connection handler (slow
   /// frame log + fold-loop health; see observe.hpp). Copied at Server
   /// construction; the pointed-at log/health must outlive the server.

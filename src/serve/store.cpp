@@ -2,7 +2,7 @@
 
 #include <cstdio>
 #include <cstdlib>
-#include <thread>
+#include <memory>
 
 namespace gt::serve {
 
@@ -13,92 +13,24 @@ namespace {
   std::abort();
 }
 
-constexpr std::uint64_t kEmptyKey = ~std::uint64_t{0};
-
 }  // namespace
 
-// Immutable open-addressing table (linear probing, power-of-two capacity).
-// Built once by a writer, then only ever read until reclaimed.
+// Immutable once published: built by a writer, then only ever read until
+// reclaimed. scores[i] is peer i's global reputation.
 struct ReputationStore::Snapshot {
   std::uint64_t epoch = 0;
-  std::size_t mask = 0;  ///< capacity - 1
-  std::size_t size = 0;  ///< live keys
-  std::vector<std::uint64_t> keys;
   std::vector<double> scores;
-
-  static std::uint64_t hash(std::uint64_t k) noexcept {
-    // splitmix64 finalizer: full-avalanche, so linear probing stays short
-    // even on dense sequential node ids.
-    k += 0x9e3779b97f4a7c15ULL;
-    k = (k ^ (k >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    k = (k ^ (k >> 27)) * 0x94d049bb133111ebULL;
-    return k ^ (k >> 31);
-  }
-
-  bool find(std::uint64_t key, double* out) const noexcept {
-    if (size == 0) return false;
-    std::size_t i = static_cast<std::size_t>(hash(key)) & mask;
-    for (;;) {
-      const std::uint64_t k = keys[i];
-      if (k == key) {
-        *out = scores[i];
-        return true;
-      }
-      if (k == kEmptyKey) return false;
-      i = (i + 1) & mask;
-    }
-  }
-
-  void insert(std::uint64_t key, double score) {
-    std::size_t i = static_cast<std::size_t>(hash(key)) & mask;
-    for (;;) {
-      if (keys[i] == key) {
-        scores[i] = score;
-        return;
-      }
-      if (keys[i] == kEmptyKey) {
-        keys[i] = key;
-        scores[i] = score;
-        ++size;
-        return;
-      }
-      i = (i + 1) & mask;
-    }
-  }
 };
-
-struct ReputationStore::Shard {
-  std::atomic<Snapshot*> current{nullptr};
-};
-
-std::size_t ReputationStore::round_pow2(std::size_t v) {
-  std::size_t p = 1;
-  while (p < v) p <<= 1;
-  return p;
-}
 
 ReputationStore::ReputationStore(StoreConfig config) {
-  std::size_t shards = config.shards;
-  if (shards == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    shards = hw == 0 ? 1 : hw;
-  }
-  shards = round_pow2(shards);
-  shards_.reserve(shards);
-  for (std::size_t i = 0; i < shards; ++i)
-    shards_.push_back(std::make_unique<Shard>());
   if (config.max_readers == 0) die("max_readers must be > 0");
   slots_ = std::vector<ReaderSlot>(config.max_readers);
 }
 
 ReputationStore::~ReputationStore() {
   // No readers may be alive here; free everything still reachable.
-  for (auto& s : shards_) {
-    delete s->current.load(std::memory_order_relaxed);
-    s->current.store(nullptr, std::memory_order_relaxed);
-  }
+  delete current_.load(std::memory_order_relaxed);
   for (auto& e : limbo_) delete e.snap;
-  limbo_.clear();
 }
 
 // --- read path --------------------------------------------------------------
@@ -141,117 +73,22 @@ void ReputationStore::ReadGuard::release() {
 LookupResult ReputationStore::lookup(const ReadGuard& guard,
                                      std::uint64_t node) const {
   if (guard.store_ != this) die("lookup with a foreign/released ReadGuard");
-  const Shard& shard =
-      *shards_[static_cast<std::size_t>(node) & (shards_.size() - 1)];
-  const Snapshot* snap = shard.current.load(std::memory_order_acquire);
-  LookupResult r;
-  if (snap == nullptr) return r;
-  double score = 0.0;
-  if (snap->find(node, &score)) {
-    r.epoch = snap->epoch;
-    r.score = score;
-  }
-  return r;
+  const Snapshot* snap = current_.load(std::memory_order_acquire);
+  if (snap == nullptr || node >= snap->scores.size()) return {};
+  return {snap->epoch, snap->scores[static_cast<std::size_t>(node)]};
 }
 
 // --- write path -------------------------------------------------------------
 
-ReputationStore::Snapshot* ReputationStore::build_snapshot(
-    std::uint64_t epoch, const std::vector<std::uint64_t>& ids,
-    const std::vector<double>& scores) {
-  auto* snap = new Snapshot;
-  snap->epoch = epoch;
-  // Load factor <= 0.5: capacity = next pow2 >= 2 * size (min 8 slots).
-  std::size_t cap = 8;
-  while (cap < ids.size() * 2) cap <<= 1;
-  snap->mask = cap - 1;
-  snap->keys.assign(cap, kEmptyKey);
-  snap->scores.assign(cap, 0.0);
-  for (std::size_t i = 0; i < ids.size(); ++i)
-    snap->insert(ids[i], scores[i]);
-  return snap;
-}
-
 std::uint64_t ReputationStore::publish(const std::vector<double>& scores) {
-  const std::size_t nshards = shards_.size();
-  std::vector<std::vector<std::uint64_t>> ids(nshards);
-  std::vector<std::vector<double>> vals(nshards);
-  for (std::size_t i = 0; i < scores.size(); ++i) {
-    const std::size_t s = i & (nshards - 1);
-    ids[s].push_back(static_cast<std::uint64_t>(i));
-    vals[s].push_back(scores[i]);
-  }
+  // The copy is the expensive part; make it before taking the lock.
+  auto fresh = std::make_unique<Snapshot>(Snapshot{0, scores});
   std::lock_guard<std::mutex> lock(write_mutex_);
   const std::uint64_t epoch = published_epoch_.load(std::memory_order_relaxed) + 1;
-  std::vector<Snapshot*> fresh(nshards, nullptr);
-  for (std::size_t s = 0; s < nshards; ++s)
-    fresh[s] = build_snapshot(epoch, ids[s], vals[s]);
-  return publish_locked(fresh, epoch);
-}
-
-std::uint64_t ReputationStore::publish_delta(
-    const std::vector<std::pair<std::uint64_t, double>>& updates) {
-  const std::size_t nshards = shards_.size();
-  std::lock_guard<std::mutex> lock(write_mutex_);
-  const std::uint64_t epoch = published_epoch_.load(std::memory_order_relaxed) + 1;
-  // Group updates per shard; untouched shards keep their snapshot (their
-  // epoch stays older, which is fine: epochs identify publishes, and a
-  // mixed-epoch batch read is still per-key consistent).
-  std::vector<std::vector<std::uint64_t>> ids(nshards);
-  std::vector<std::vector<double>> vals(nshards);
-  for (const auto& [id, score] : updates) {
-    const std::size_t s = static_cast<std::size_t>(id) & (nshards - 1);
-    ids[s].push_back(id);
-    vals[s].push_back(score);
-  }
-  std::vector<Snapshot*> fresh(nshards, nullptr);
-  for (std::size_t s = 0; s < nshards; ++s) {
-    if (ids[s].empty()) continue;
-    // Rebuild from the old snapshot's live entries plus the updates. The
-    // updates go into the same arrays, *after* the old entries, before the
-    // snapshot is built: capacity is sized from the combined count (an upper
-    // bound on distinct keys, so load factor stays <= 0.5 even when every
-    // update is a new key), and insert() overwrites on key match so the
-    // later update values win over the old entries.
-    const Snapshot* old = shards_[s]->current.load(std::memory_order_relaxed);
-    std::vector<std::uint64_t> all_ids;
-    std::vector<double> all_vals;
-    const std::size_t old_size = old != nullptr ? old->size : 0;
-    all_ids.reserve(old_size + ids[s].size());
-    all_vals.reserve(old_size + ids[s].size());
-    if (old != nullptr) {
-      for (std::size_t i = 0; i <= old->mask; ++i) {
-        if (old->keys[i] != kEmptyKey) {
-          all_ids.push_back(old->keys[i]);
-          all_vals.push_back(old->scores[i]);
-        }
-      }
-    }
-    all_ids.insert(all_ids.end(), ids[s].begin(), ids[s].end());
-    all_vals.insert(all_vals.end(), vals[s].begin(), vals[s].end());
-    fresh[s] = build_snapshot(epoch, all_ids, all_vals);
-  }
-  return publish_locked(fresh, epoch);
-}
-
-std::uint64_t ReputationStore::publish_locked(std::vector<Snapshot*>& fresh,
-                                              std::uint64_t epoch) {
-  // An all-null batch (e.g. publish_delta with no updates) publishes
-  // nothing: leave the epoch where it is instead of regressing it.
-  bool any = false;
-  for (const Snapshot* f : fresh)
-    if (f != nullptr) {
-      any = true;
-      break;
-    }
-  if (!any) return published_epoch_.load(std::memory_order_relaxed);
+  fresh->epoch = epoch;
   const std::uint64_t retire_tag = global_epoch_.load(std::memory_order_relaxed);
-  for (std::size_t s = 0; s < shards_.size(); ++s) {
-    if (fresh[s] == nullptr) continue;
-    Snapshot* old =
-        shards_[s]->current.exchange(fresh[s], std::memory_order_acq_rel);
-    if (old != nullptr) limbo_.push_back({old, retire_tag});
-  }
+  Snapshot* old = current_.exchange(fresh.release(), std::memory_order_acq_rel);
+  if (old != nullptr) limbo_.push_back({old, retire_tag});
   published_epoch_.store(epoch, std::memory_order_release);
   global_epoch_.fetch_add(1, std::memory_order_seq_cst);
   reclaim_locked();
@@ -305,10 +142,7 @@ std::size_t ReputationStore::feedback_pending() const {
 // --- accounting -------------------------------------------------------------
 
 std::size_t ReputationStore::snapshots_live() const {
-  std::size_t live = 0;
-  for (const auto& s : shards_)
-    if (s->current.load(std::memory_order_acquire) != nullptr) ++live;
-  return live;
+  return current_.load(std::memory_order_acquire) != nullptr ? 1 : 0;
 }
 
 std::size_t ReputationStore::limbo_size() const {

@@ -1,11 +1,11 @@
 // serve::ReputationStore — the live serving half of the reputation system:
-// a sharded concurrent score store with read-mostly lock-free lookups.
+// a concurrent score store with read-mostly lock-free lookups.
 //
 // Inspired by Suricata's IPReputationCtx (a radix tree guarded by per-tree
 // locks), but redesigned for millions of lookups/s: instead of locking a
-// tree on every query, the store is split into a power-of-two number of
-// shards (default: sized from std::thread::hardware_concurrency) and each
-// shard publishes an *immutable* open-addressing snapshot behind one atomic
+// structure on every query, the store publishes the global reputation
+// vector V as one *immutable* snapshot — the dense score array indexed by
+// peer id 0..n-1, stamped with its publish epoch — behind a single atomic
 // pointer. Readers never take a mutex:
 //
 //   1. pin: a registered reader slot stores the current global epoch
@@ -14,21 +14,22 @@
 //      once the validating load returns epoch E, the pin store is ordered
 //      before any writer's advance to E+1 in the seq_cst total order, so
 //      a writer scanning reader slots after advancing must see the pin.
-//   2. load the shard's snapshot pointer (acquire) and read from the
-//      immutable table — (epoch, score) pairs are consistent by
-//      construction because both come from one snapshot.
+//   2. load the snapshot pointer (acquire) and index the immutable array —
+//      (epoch, score) pairs are consistent by construction because both
+//      come from one snapshot, and one thread's successive lookups never
+//      see the epoch go backwards because there is only one pointer.
 //   3. unpin: store 0 (release) into the slot.
 //
 // Writers (serialized by a mutex — the write path may lock; only reads are
-// lock-free) build fresh snapshots, swap them in with a release store, move
-// the old ones onto a limbo list tagged with the pre-advance epoch, advance
-// the global epoch, and free every limbo entry whose tag is below the
-// minimum pinned epoch. No reader can still hold a snapshot retired before
-// its pin, so reclamation is safe without reference counts on the hot path.
+// lock-free) copy the vector into a fresh snapshot, swap it in, move the
+// old one onto a limbo list tagged with the pre-advance epoch, advance the
+// global epoch, and free every limbo entry whose tag is below the minimum
+// pinned epoch. No reader can still hold a snapshot retired before its
+// pin, so reclamation is safe without reference counts on the hot path.
 //
 // The ingest side is deliberately boring: feedback updates are appended to
 // a mutex-guarded pending buffer and drained in batches by whoever owns the
-// aggregation loop (tools/repserved folds them through a ReputationManager
+// aggregation loop (tools/repserved folds them through the feedback ledger
 // and republishes). Serving is observational with respect to the engine —
 // folding scores into the store never feeds back into aggregation state.
 #pragma once
@@ -36,16 +37,12 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <mutex>
 #include <vector>
 
 namespace gt::serve {
 
 struct StoreConfig {
-  /// Shard count; 0 derives a power of two from hardware_concurrency().
-  /// Non-zero values are rounded up to the next power of two.
-  std::size_t shards = 0;
   /// Fixed number of registered reader slots (epoch-reclamation pins).
   /// Acquiring more concurrent readers than this aborts loudly.
   std::size_t max_readers = 64;
@@ -59,7 +56,7 @@ struct FeedbackUpdate {
 };
 
 /// Result of a lookup. `epoch` is the publish version of the snapshot the
-/// score was read from; epoch == 0 means the key was not present (published
+/// score was read from; epoch == 0 means the id was not present (published
 /// epochs start at 1), in which case score is 0.
 struct LookupResult {
   std::uint64_t epoch = 0;
@@ -75,7 +72,6 @@ class ReputationStore {
   ReputationStore(const ReputationStore&) = delete;
   ReputationStore& operator=(const ReputationStore&) = delete;
 
-  std::size_t num_shards() const noexcept { return shards_.size(); }
   std::size_t max_readers() const noexcept { return slots_.size(); }
 
   /// Version of the most recent publish (0 before the first).
@@ -113,20 +109,15 @@ class ReputationStore {
   /// all max_readers slots are taken (a sizing bug, not a runtime race).
   ReadGuard reader();
 
-  /// Mutex-free lookup under a pinned guard.
+  /// Mutex-free lookup under a pinned guard. Ids at or past the published
+  /// vector's size read as not found.
   LookupResult lookup(const ReadGuard& guard, std::uint64_t node) const;
 
   // --- write path (serialized internally; may lock) ------------------------
 
-  /// Publishes dense scores: node ids 0..scores.size()-1. Every shard gets
-  /// a fresh snapshot stamped with the new epoch; returns that epoch.
+  /// Publishes dense scores for node ids 0..scores.size()-1 as one new
+  /// snapshot, replacing the previous one whole; returns its epoch.
   std::uint64_t publish(const std::vector<double>& scores);
-
-  /// Publishes sparse (id, score) pairs on top of the currently published
-  /// state (read-modify-write of the previous snapshots). Returns the new
-  /// epoch; an empty batch publishes nothing and returns the current one.
-  std::uint64_t publish_delta(
-      const std::vector<std::pair<std::uint64_t, double>>& updates);
 
   // --- ingest queue ---------------------------------------------------------
 
@@ -145,8 +136,8 @@ class ReputationStore {
 
   // --- reclamation accounting (tests + STATS) -------------------------------
 
-  /// Snapshots currently reachable (published) — num_shards() once anything
-  /// has been published, else 0.
+  /// Snapshots currently reachable (published) — 1 once anything has been
+  /// published, else 0.
   std::size_t snapshots_live() const;
   /// Retired snapshots already reclaimed.
   std::uint64_t snapshots_reclaimed() const noexcept {
@@ -157,26 +148,11 @@ class ReputationStore {
 
  private:
   struct Snapshot;
-  struct Shard;
 
-  static std::size_t round_pow2(std::size_t v);
   std::uint64_t pin_slot(std::size_t slot) noexcept;
-
-  /// Builds a snapshot for one shard from (id, score) pairs. Caller owns.
-  static Snapshot* build_snapshot(std::uint64_t epoch,
-                                  const std::vector<std::uint64_t>& ids,
-                                  const std::vector<double>& scores);
-
-  /// Swaps per-shard snapshots in, retires the old ones, publishes `epoch`,
-  /// advances the global epoch, reclaims. Caller holds write_mutex_. `fresh`
-  /// has one entry per shard (nullptr = keep the current snapshot for that
-  /// shard); when every entry is null nothing is published and the current
-  /// epoch is returned unchanged.
-  std::uint64_t publish_locked(std::vector<Snapshot*>& fresh,
-                               std::uint64_t epoch);
   void reclaim_locked();
 
-  std::vector<std::unique_ptr<Shard>> shards_;
+  std::atomic<Snapshot*> current_{nullptr};
 
   // Reader slots: 0 = quiescent, otherwise the pinned epoch. Cacheline-
   // padded so independent readers never false-share.

@@ -1,6 +1,7 @@
 #include "trust/feedback.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <stdexcept>
 
 namespace gt::trust {
@@ -8,6 +9,10 @@ namespace gt::trust {
 void FeedbackLedger::record(NodeId rater, NodeId ratee, double value) {
   if (rater >= n_ || ratee >= n_)
     throw std::out_of_range("FeedbackLedger::record: peer id out of range");
+  // clamp passes NaN through, and a NaN total would drop the pair from the
+  // matrix and absorb every later rating of it.
+  if (std::isnan(value))
+    throw std::invalid_argument("FeedbackLedger::record: rating is NaN");
   if (rater == ratee) return;
   value = std::clamp(value, 0.0, 1.0);
   auto [it, inserted] = outbound_[rater].try_emplace(ratee, 0.0);

@@ -31,8 +31,9 @@ class FeedbackLedger {
   /// Number of distinct (rater, ratee) pairs with at least one rating.
   std::size_t num_feedbacks() const noexcept { return count_; }
 
-  /// Records one rating; clamps value into [0, 1]. Self-ratings ignored —
-  /// s_ii must stay 0 or a peer could vote for itself.
+  /// Records one rating; clamps value into [0, 1] and throws
+  /// std::invalid_argument on NaN. Self-ratings ignored — s_ii must stay 0
+  /// or a peer could vote for itself.
   void record(NodeId rater, NodeId ratee, double value);
 
   /// Raw accumulated score r_ij (0 when never rated).

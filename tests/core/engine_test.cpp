@@ -207,25 +207,6 @@ TEST(GossipTrustEngine, DegradedCycleRetainsPreviousVector) {
   EXPECT_EQ(res.degraded_cycles(), cfg.max_cycles);
 }
 
-TEST(GossipTrustEngine, FallbackDisabledRestoresLegacyBehavior) {
-  const std::size_t n = 24;
-  const auto s = workload_matrix(n, 23);
-  auto cfg = test_config();
-  cfg.max_gossip_steps = 1;
-  cfg.fallback_on_nonconverged = false;
-  GossipTrustEngine engine(n, cfg);
-
-  auto v = engine.initial_scores();
-  const auto v_before = v;
-  std::vector<NodeId> power;
-  Rng rng(24);
-  const auto stats = engine.run_cycle(s, v, power, rng);
-  EXPECT_FALSE(stats.gossip_converged);
-  EXPECT_FALSE(stats.degraded);
-  EXPECT_NE(v, v_before);  // legacy: the partial aggregate is adopted
-  EXPECT_FALSE(power.empty());
-}
-
 TEST(GossipTrustEngine, HealthyCyclesAreNotDegraded) {
   const std::size_t n = 32;
   const auto s = workload_matrix(n, 25);

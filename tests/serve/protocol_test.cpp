@@ -7,6 +7,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 #include "serve/handler.hpp"
@@ -292,6 +293,14 @@ std::vector<BadFrame> malformed_table() {
   // INGEST truncated.
   rows.push_back(
       {"ingest_short", frame(Op::kIngest, 16, std::vector<std::uint8_t>(16))});
+  // INGEST whose rating is not a finite number.
+  {
+    std::vector<std::uint8_t> payload(24);
+    put_u64(payload.data(), 0);
+    put_u64(payload.data() + 8, 1);
+    put_f64(payload.data() + 16, std::numeric_limits<double>::quiet_NaN());
+    rows.push_back({"ingest_nan_value", frame(Op::kIngest, 24, payload)});
+  }
   // BATCH whose count disagrees with payload_len.
   {
     std::vector<std::uint8_t> payload(8 + 8);
@@ -352,6 +361,7 @@ TEST_F(HandlerTest, MalformedFramesCloseLoudly) {
     EXPECT_FALSE(c.send_raw(good.data(), good.size())) << row.name;
   }
   EXPECT_EQ(errors() - errors_before, closed);
+  EXPECT_EQ(store_.feedback_pending(), 0u);  // no malformed INGEST got through
 }
 
 TEST_F(HandlerTest, MalformedFramesSplitByteWiseStillClose) {

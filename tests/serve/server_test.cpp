@@ -295,7 +295,9 @@ TEST(ServeObservational, EngineResultsAreBitIdenticalAcrossServing) {
     client.lookup(i % kN);
     if (i % 3 == 0) client.ingest(i % kN, (i + 1) % kN, 0.5);
   }
-  store.publish_delta({{0, 0.999}});
+  std::vector<double> republished = before;
+  republished[0] = 0.999;
+  store.publish(republished);
 
   const std::vector<double> after = run_engine();
   ASSERT_EQ(before.size(), after.size());

@@ -12,21 +12,6 @@
 namespace gt::serve {
 namespace {
 
-TEST(ReputationStore, ShardCountIsPowerOfTwo) {
-  for (const auto& [requested, expected] :
-       std::vector<std::pair<std::size_t, std::size_t>>{
-           {1, 1}, {2, 2}, {3, 4}, {5, 8}, {8, 8}, {9, 16}}) {
-    StoreConfig cfg;
-    cfg.shards = requested;
-    ReputationStore store(cfg);
-    EXPECT_EQ(store.num_shards(), expected) << "requested " << requested;
-  }
-  // Default derives from hardware_concurrency — still a power of two.
-  ReputationStore def;
-  EXPECT_GT(def.num_shards(), 0u);
-  EXPECT_EQ(def.num_shards() & (def.num_shards() - 1), 0u);
-}
-
 TEST(ReputationStore, LookupBeforeFirstPublishMisses) {
   ReputationStore store;
   auto guard = store.reader();
@@ -36,14 +21,12 @@ TEST(ReputationStore, LookupBeforeFirstPublishMisses) {
 }
 
 TEST(ReputationStore, PublishThenLookup) {
-  StoreConfig cfg;
-  cfg.shards = 4;
-  ReputationStore store(cfg);
+  ReputationStore store;
   const std::vector<double> scores{0.5, 0.25, 0.125, 0.0625, 0.0625};
   const std::uint64_t epoch = store.publish(scores);
   EXPECT_EQ(epoch, 1u);
   EXPECT_EQ(store.published_epoch(), 1u);
-  EXPECT_EQ(store.snapshots_live(), 4u);
+  EXPECT_EQ(store.snapshots_live(), 1u);
 
   auto guard = store.reader();
   for (std::size_t i = 0; i < scores.size(); ++i) {
@@ -52,14 +35,18 @@ TEST(ReputationStore, PublishThenLookup) {
     EXPECT_EQ(r.epoch, 1u);
     EXPECT_DOUBLE_EQ(r.score, scores[i]);
   }
-  EXPECT_FALSE(store.lookup(guard, scores.size()).found());
-  EXPECT_FALSE(store.lookup(guard, ~0ull - 1).found());
+  // Ids at or past the published size are not present.
+  for (const std::uint64_t id : {std::uint64_t{scores.size()},
+                                 std::uint64_t{scores.size() + 1},
+                                 ~std::uint64_t{0}}) {
+    const LookupResult r = store.lookup(guard, id);
+    EXPECT_FALSE(r.found()) << "id " << id;
+    EXPECT_EQ(r.score, 0.0) << "id " << id;
+  }
 }
 
 TEST(ReputationStore, RepublishBumpsEpochEverywhere) {
-  StoreConfig cfg;
-  cfg.shards = 2;
-  ReputationStore store(cfg);
+  ReputationStore store;
   store.publish({0.1, 0.2, 0.3});
   const std::uint64_t e2 = store.publish({0.4, 0.5, 0.6});
   EXPECT_EQ(e2, 2u);
@@ -69,97 +56,31 @@ TEST(ReputationStore, RepublishBumpsEpochEverywhere) {
     EXPECT_EQ(r.epoch, 2u);
     EXPECT_DOUBLE_EQ(r.score, 0.4 + 0.1 * static_cast<double>(i));
   }
-}
-
-TEST(ReputationStore, PublishDeltaKeepsUntouchedKeys) {
-  StoreConfig cfg;
-  cfg.shards = 2;
-  ReputationStore store(cfg);
-  store.publish({0.1, 0.2, 0.3, 0.4});
-  const std::uint64_t e2 = store.publish_delta({{1, 0.9}, {7, 0.7}});
-  EXPECT_EQ(e2, 2u);
-  auto guard = store.reader();
-  EXPECT_DOUBLE_EQ(store.lookup(guard, 1).score, 0.9);
-  EXPECT_EQ(store.lookup(guard, 1).epoch, 2u);
-  EXPECT_DOUBLE_EQ(store.lookup(guard, 7).score, 0.7);  // newly inserted
-  EXPECT_DOUBLE_EQ(store.lookup(guard, 0).score, 0.1);  // untouched
-  EXPECT_DOUBLE_EQ(store.lookup(guard, 2).score, 0.3);
-  EXPECT_DOUBLE_EQ(store.lookup(guard, 3).score, 0.4);
-}
-
-TEST(ReputationStore, PublishDeltaWithManyNewKeysGrowsCapacity) {
-  // Far more new keys than the previous snapshot has free slots: the
-  // rebuilt snapshot must be sized for the union of old and new keys, not
-  // just the old entry count.
-  StoreConfig cfg;
-  cfg.shards = 1;
-  ReputationStore store(cfg);
-  store.publish({0.1, 0.2, 0.3, 0.4});
-  std::vector<std::pair<std::uint64_t, double>> updates;
-  updates.emplace_back(1, 0.9);  // overwrite of an existing key
-  for (std::uint64_t i = 0; i < 64; ++i)
-    updates.emplace_back(100 + i, static_cast<double>(i));
-  EXPECT_EQ(store.publish_delta(updates), 2u);
-  auto guard = store.reader();
-  EXPECT_DOUBLE_EQ(store.lookup(guard, 0).score, 0.1);  // untouched
-  EXPECT_DOUBLE_EQ(store.lookup(guard, 1).score, 0.9);  // update wins
-  for (std::uint64_t i = 0; i < 64; ++i) {
-    const LookupResult r = store.lookup(guard, 100 + i);
-    ASSERT_TRUE(r.found()) << "id " << (100 + i);
-    EXPECT_DOUBLE_EQ(r.score, static_cast<double>(i));
-  }
-}
-
-TEST(ReputationStore, PublishDeltaAsFirstPublish) {
-  // The delta path must also work with no prior snapshot, including more
-  // keys than the minimum snapshot capacity.
-  StoreConfig cfg;
-  cfg.shards = 1;
-  ReputationStore store(cfg);
-  std::vector<std::pair<std::uint64_t, double>> updates;
-  for (std::uint64_t i = 0; i < 20; ++i)
-    updates.emplace_back(i, 0.5 + static_cast<double>(i));
-  EXPECT_EQ(store.publish_delta(updates), 1u);
-  auto guard = store.reader();
-  for (std::uint64_t i = 0; i < 20; ++i) {
-    const LookupResult r = store.lookup(guard, i);
-    ASSERT_TRUE(r.found()) << "id " << i;
-    EXPECT_DOUBLE_EQ(r.score, 0.5 + static_cast<double>(i));
-  }
-}
-
-TEST(ReputationStore, EmptyDeltaLeavesEpochUntouched) {
-  StoreConfig cfg;
-  cfg.shards = 2;
-  ReputationStore store(cfg);
-  store.publish({0.1, 0.2});
-  EXPECT_EQ(store.publish_delta({}), 1u);
-  EXPECT_EQ(store.published_epoch(), 1u);
-  auto guard = store.reader();
-  EXPECT_EQ(store.lookup(guard, 0).epoch, 1u);
-  EXPECT_EQ(store.publish({0.3, 0.4}), 2u);  // numbering continues cleanly
+  // A shorter vector replaces the previous one whole: ids it no longer
+  // covers read as not found instead of keeping their old scores.
+  EXPECT_EQ(store.publish({0.7}), 3u);
+  EXPECT_EQ(store.lookup(guard, 0).epoch, 3u);
+  EXPECT_DOUBLE_EQ(store.lookup(guard, 0).score, 0.7);
+  for (std::uint64_t i = 1; i < 3; ++i)
+    EXPECT_FALSE(store.lookup(guard, i).found()) << "id " << i;
 }
 
 TEST(ReputationStore, ReclamationWithoutReaders) {
-  StoreConfig cfg;
-  cfg.shards = 4;
-  ReputationStore store(cfg);
+  ReputationStore store;
   const int kPublishes = 10;
   for (int i = 0; i < kPublishes; ++i) store.publish({1.0, 2.0, 3.0});
-  // Each publish after the first retires the previous 4 snapshots; with no
+  // Each publish after the first retires the previous snapshot; with no
   // pinned readers every retired snapshot must be reclaimed or in limbo.
-  const std::uint64_t retired = 4u * (kPublishes - 1);
+  const std::uint64_t retired = kPublishes - 1;
   EXPECT_EQ(store.snapshots_reclaimed() + store.limbo_size(), retired);
-  EXPECT_EQ(store.snapshots_live(), 4u);
+  EXPECT_EQ(store.snapshots_live(), 1u);
   // With no reader pinned the limbo should be fully drained by the last
-  // publish except possibly the snapshots it retired itself.
-  EXPECT_LE(store.limbo_size(), 4u);
+  // publish except possibly the snapshot it retired itself.
+  EXPECT_LE(store.limbo_size(), 1u);
 }
 
 TEST(ReputationStore, PinnedReaderBlocksReclamation) {
-  StoreConfig cfg;
-  cfg.shards = 1;
-  ReputationStore store(cfg);
+  ReputationStore store;
   store.publish({0.5});
 
   auto guard = store.reader();  // pins the epoch with the v1 snapshot live
@@ -181,9 +102,7 @@ TEST(ReputationStore, PinnedReaderBlocksReclamation) {
 }
 
 TEST(ReputationStore, RefreshUnblocksReclamation) {
-  StoreConfig cfg;
-  cfg.shards = 1;
-  ReputationStore store(cfg);
+  ReputationStore store;
   store.publish({0.5});
   auto guard = store.reader();
   store.publish({0.6});
@@ -222,9 +141,7 @@ TEST(ReputationStore, ConcurrentReadersSeeCoherentEpochScorePairs) {
   constexpr std::size_t kReaders = 4;
   constexpr int kPublishes = 400;
 
-  StoreConfig cfg;
-  cfg.shards = 4;
-  ReputationStore store(cfg);
+  ReputationStore store;
   std::vector<double> seed(kNodes);
   for (std::size_t i = 0; i < kNodes; ++i)
     seed[i] = 1000.0 + static_cast<double>(i);  // epoch 1 encoding
@@ -250,23 +167,16 @@ TEST(ReputationStore, ConcurrentReadersSeeCoherentEpochScorePairs) {
         const LookupResult r = store.lookup(guard, id);
         const double expect =
             static_cast<double>(r.epoch) * 1000.0 + static_cast<double>(id);
-        if (!r.found() || r.score != expect) {
+        // One snapshot pointer: a reader's epoch never goes backwards,
+        // whichever ids it reads in between.
+        if (!r.found() || r.score != expect || r.epoch < last_epoch) {
           failures.fetch_add(1, std::memory_order_relaxed);
           break;
         }
+        last_epoch = r.epoch;
         reads.fetch_add(1, std::memory_order_relaxed);
-        if ((reads.load(std::memory_order_relaxed) & 0x3f) == 0) {
+        if ((reads.load(std::memory_order_relaxed) & 0x3f) == 0)
           guard.refresh();
-          // Per-key epochs are monotone (a publish swaps shard snapshots
-          // one at a time, so only a FIXED key gives this guarantee —
-          // across different shards epochs may interleave mid-publish).
-          const LookupResult r2 = store.lookup(guard, t);
-          if (r2.epoch < last_epoch) {
-            failures.fetch_add(1, std::memory_order_relaxed);
-            break;
-          }
-          last_epoch = r2.epoch;
-        }
       }
     });
   }
@@ -297,9 +207,9 @@ TEST(ReputationStore, ConcurrentReadersSeeCoherentEpochScorePairs) {
   EXPECT_EQ(failures.load(), 0);
   EXPECT_GT(reads.load(), 0u);
   // Readers are quiescent: one more publish must drain the limbo fully
-  // (modulo the snapshots that very publish retired).
+  // (modulo the snapshot that very publish retired).
   store.publish(scores);
-  EXPECT_LE(store.limbo_size(), store.num_shards());
+  EXPECT_LE(store.limbo_size(), 1u);
   EXPECT_GT(store.snapshots_reclaimed(), 0u);
 }
 

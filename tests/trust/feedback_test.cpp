@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace gt::trust {
 namespace {
 
@@ -23,6 +26,16 @@ TEST(FeedbackLedger, ClampsRatings) {
   EXPECT_DOUBLE_EQ(ledger.raw_score(0, 1), 1.0);
   ledger.record(0, 1, -3.0);
   EXPECT_DOUBLE_EQ(ledger.raw_score(0, 1), 1.0);
+}
+
+TEST(FeedbackLedger, NaNRatingThrowsAndKeepsTheEdge) {
+  FeedbackLedger ledger(2);
+  ledger.record(0, 1, 1.0);
+  EXPECT_THROW(ledger.record(0, 1, std::numeric_limits<double>::quiet_NaN()),
+               std::invalid_argument);
+  ledger.record(0, 1, 1.0);
+  EXPECT_DOUBLE_EQ(ledger.raw_score(0, 1), 2.0);
+  EXPECT_DOUBLE_EQ(ledger.normalized_matrix().at(0, 1), 1.0);
 }
 
 TEST(FeedbackLedger, IgnoresSelfRatings) {

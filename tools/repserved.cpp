@@ -2,7 +2,7 @@
 //
 // Boots the full serving stack: seeds a paper-shaped feedback workload
 // (power-law feedback counts, honest ratings), runs the GossipTrust engine
-// to convergence, publishes the converged scores into a sharded
+// to convergence, publishes the converged score vector as one snapshot in
 // serve::ReputationStore, and serves LOOKUP/BATCH_LOOKUP/INGEST/STATS/
 // METRICS/HEALTH over the epoll server. A fold loop then drains the ingest
 // queue into the feedback ledger and re-aggregates every --refold feedbacks
@@ -58,7 +58,6 @@ struct Options {
   std::size_t n = 512;
   std::uint64_t seed = 42;
   std::size_t refold = 2000;
-  std::size_t shards = 0;
   std::string telemetry;
   bool use_poll = false;
   double max_seconds = 0.0;      ///< 0 = run until signalled
@@ -70,8 +69,8 @@ struct Options {
   std::fprintf(stderr, "repserved: %s\n", msg);
   std::fprintf(stderr,
                "usage: %s [--bind A] [--port P] [--n N] [--seed S]\n"
-               "          [--refold K] [--shards S] [--telemetry PATH]\n"
-               "          [--poll] [--max-seconds T] [--metrics-interval T]\n"
+               "          [--refold K] [--telemetry PATH] [--poll]\n"
+               "          [--max-seconds T] [--metrics-interval T]\n"
                "          [--slow-frame-us U]\n",
                argv0);
   std::exit(2);
@@ -90,7 +89,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--n") o.n = static_cast<std::size_t>(std::atoll(need(i++)));
     else if (a == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(need(i++)));
     else if (a == "--refold") o.refold = static_cast<std::size_t>(std::atoll(need(i++)));
-    else if (a == "--shards") o.shards = static_cast<std::size_t>(std::atoll(need(i++)));
     else if (a == "--telemetry") o.telemetry = need(i++);
     else if (a == "--poll") o.use_poll = true;
     else if (a == "--max-seconds") o.max_seconds = std::atof(need(i++));
@@ -135,9 +133,7 @@ int main(int argc, char** argv) {
                opt.n, agg.converged ? 1 : 0, agg.num_cycles());
 
   // --- serving stack --------------------------------------------------------
-  gt::serve::StoreConfig scfg;
-  scfg.shards = opt.shards;
-  gt::serve::ReputationStore store(scfg);
+  gt::serve::ReputationStore store;
   store.publish(agg.scores);
 
   // Observability plane: JSONL log (disabled when --telemetry is empty),
@@ -169,9 +165,8 @@ int main(int argc, char** argv) {
     std::fprintf(stderr, "repserved: cannot start server: %s\n", error.c_str());
     return 1;
   }
-  std::printf("repserved: listening on %s:%u (backend %s, shards %zu, n %zu)\n",
-              opt.bind.c_str(), server.port(), server.backend(),
-              store.num_shards(), opt.n);
+  std::printf("repserved: listening on %s:%u (backend %s, n %zu)\n",
+              opt.bind.c_str(), server.port(), server.backend(), opt.n);
   std::fflush(stdout);
 
   std::signal(SIGINT, on_signal);
