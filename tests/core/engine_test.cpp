@@ -2,6 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
+#include <span>
+#include <string>
+
 #include "baseline/power_iteration.hpp"
 #include "common/stats.hpp"
 #include "trust/feedback.hpp"
@@ -216,6 +221,110 @@ TEST(GossipTrustEngine, HealthyCyclesAreNotDegraded) {
   EXPECT_TRUE(res.converged);
   EXPECT_EQ(res.degraded_cycles(), 0u);
   for (const auto& c : res.cycles) EXPECT_FALSE(c.degraded);
+}
+
+// One engine keeps one gossip kernel for its lifetime. Whatever a cycle
+// sets on it — a participants mask, gossip adversaries, an event log, a
+// trace sink — must not leak into the next cycle: each cycle of a long-
+// lived engine must equal, bit for bit, the same cycle run on a fresh
+// engine, down to the RNG state it leaves behind.
+TEST(GossipTrustEngine, ReusedKernelCarriesNothingBetweenCycles) {
+  const std::size_t n = 40;
+  const auto s = workload_matrix(n, 27, 4);
+  auto cfg = test_config();
+  cfg.num_threads = 2;
+  cfg.loss_probability = 0.02;
+  cfg.max_gossip_steps = 400;  // bounds the attacked (never stable) cycle
+
+  std::vector<std::uint8_t> some_dead(n, 1), more_dead(n, 1);
+  for (NodeId i = 0; i < n; i += 6) some_dead[i] = more_dead[i] = 0;
+  for (NodeId i = 1; i < n; i += 5) more_dead[i] = 0;
+  std::vector<double> scale(n, 1.0);
+  std::vector<std::uint8_t> withhold(n, 0);
+  scale[2] = 1.5;
+  withhold[7] = 1;
+
+  struct Plan {
+    const std::vector<std::uint8_t>* alive;
+    bool adversary;
+    bool sinks;
+  };
+  const Plan plans[] = {
+      {nullptr, false, false},     {&some_dead, false, false},
+      {&more_dead, false, false},  {nullptr, false, false},
+      {nullptr, true, false},      {nullptr, false, false},
+      {&some_dead, false, true},   {nullptr, false, false},
+  };
+
+  const std::string tmp = testing::TempDir() + "gt_engine_reuse_";
+  struct Sinks {
+    telemetry::EventLog log;
+    trace::TraceSink trace;
+    explicit Sinks(const std::string& stem)
+        : log(telemetry::EventLogConfig{stem + ".jsonl"}),
+          trace(trace::TraceConfig{stem + ".gttrace"}) {}
+  };
+  auto configure = [&](GossipTrustEngine& e, const Plan& p, Sinks& sk) {
+    e.set_gossip_adversary(p.adversary ? std::span<const double>(scale)
+                                       : std::span<const double>(),
+                           p.adversary ? std::span<const std::uint8_t>(withhold)
+                                       : std::span<const std::uint8_t>());
+    e.set_event_log(p.sinks ? &sk.log : nullptr, p.sinks ? 3 : 0);
+    e.set_trace(p.sinks ? &sk.trace : nullptr);
+  };
+
+  std::vector<CycleStats> reused_stats;
+  {
+    Sinks reused_sinks(tmp + "reused"), fresh_sinks(tmp + "fresh");
+    GossipTrustEngine reused(n, cfg);
+    auto v_reused = reused.initial_scores();
+    auto v_fresh = v_reused;
+    std::vector<NodeId> power_reused, power_fresh;
+    Rng rng_reused(28), rng_fresh(28);
+    for (std::size_t k = 0; k < std::size(plans); ++k) {
+      SCOPED_TRACE("cycle " + std::to_string(k));
+      const Plan& p = plans[k];
+      configure(reused, p, reused_sinks);
+      const CycleStats a = reused.run_cycle(s, v_reused, power_reused,
+                                            rng_reused, nullptr, nullptr,
+                                            p.alive);
+      GossipTrustEngine fresh(n, cfg);
+      configure(fresh, p, fresh_sinks);
+      const CycleStats b = fresh.run_cycle(s, v_fresh, power_fresh, rng_fresh,
+                                           nullptr, nullptr, p.alive);
+      reused_stats.push_back(a);
+
+      EXPECT_EQ(a.gossip_steps, b.gossip_steps);
+      EXPECT_EQ(a.gossip_converged, b.gossip_converged);
+      EXPECT_EQ(a.degraded, b.degraded);
+      EXPECT_EQ(a.messages_sent, b.messages_sent);
+      EXPECT_EQ(a.messages_lost, b.messages_lost);
+      EXPECT_EQ(a.triplets_sent, b.triplets_sent);
+      EXPECT_EQ(a.active_triplets, b.active_triplets);
+      EXPECT_EQ(a.zero_components_skipped, b.zero_components_skipped);
+      EXPECT_EQ(std::memcmp(&a.change_from_previous, &b.change_from_previous,
+                            sizeof(double)),
+                0);
+      ASSERT_EQ(v_reused.size(), v_fresh.size());
+      EXPECT_EQ(std::memcmp(v_reused.data(), v_fresh.data(),
+                            n * sizeof(double)),
+                0);
+      EXPECT_EQ(power_reused, power_fresh);
+      Rng next_reused = rng_reused, next_fresh = rng_fresh;
+      EXPECT_EQ(next_reused.next_u64(), next_fresh.next_u64());
+    }
+    EXPECT_GT(reused_sinks.trace.records_emitted(), 0u);
+  }
+  for (const char* tag : {"reused", "fresh"}) {
+    std::remove((tmp + tag + ".jsonl").c_str());
+    std::remove((tmp + tag + ".gttrace").c_str());
+  }
+  // The plan really changed the inputs: masked cycles sent fewer than one
+  // message per node and step, and the attacked cycle never stabilised.
+  ASSERT_EQ(reused_stats.size(), std::size(plans));
+  EXPECT_LT(reused_stats[2].messages_sent, reused_stats[2].gossip_steps * n);
+  EXPECT_TRUE(reused_stats[4].degraded);
+  EXPECT_FALSE(reused_stats[5].degraded);
 }
 
 TEST(GossipTrustEngine, InitialScoresUniform) {
