@@ -1,8 +1,8 @@
 // Reusable fixed-size thread pool with a deterministic parallel_for.
 //
 // The pool exists for the gossip hot path: phases that are embarrassingly
-// parallel across nodes (route selection, inbox gather, convergence
-// bookkeeping) are expressed as a chunked loop over an index range. The
+// parallel across nodes (route selection, inbox gather, consensus
+// read-out) are expressed as a chunked loop over an index range. The
 // partition of [begin, end) into chunks is a pure function of (range,
 // num_chunks) — never of thread count, scheduling order, or timing — so a
 // caller that needs bit-identical floating-point results across thread

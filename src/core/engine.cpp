@@ -46,8 +46,6 @@ GossipTrustEngine::GossipTrustEngine(std::size_t n, GossipTrustConfig config)
     throw std::invalid_argument("GossipTrustEngine: thresholds must be positive");
   if (config_.alpha < 0.0 || config_.alpha > 1.0)
     throw std::invalid_argument("GossipTrustEngine: alpha must be in [0, 1]");
-  if (config_.num_threads != 1)
-    pool_ = std::make_unique<ThreadPool>(config_.num_threads);
 }
 
 std::vector<double> GossipTrustEngine::initial_scores() const {
@@ -86,23 +84,29 @@ CycleStats GossipTrustEngine::run_cycle(const trust::SparseMatrix& s,
   if (s.size() != n_ || v.size() != n_)
     throw std::invalid_argument("GossipTrustEngine::run_cycle: size mismatch");
 
-  gossip::PushSumConfig ps;
-  ps.epsilon = config_.epsilon;
-  ps.stable_rounds = config_.stable_rounds;
-  ps.max_steps = config_.max_gossip_steps;
-  ps.loss_probability = config_.loss_probability;
-  ps.neighbors_only = config_.neighbors_only;
-  ps.num_threads = config_.num_threads;
-  ps.simd_level = config_.simd_level;
-
-  gossip::VectorGossip gossip(n_, ps, pool_.get());
-  if (alive != nullptr) gossip.set_participants(*alive);
-  if (!adv_scale_.empty() || !adv_withhold_.empty())
-    gossip.set_adversary(adv_scale_, adv_withhold_);
+  // One kernel per engine, built by the first cycle: every cycle sets all
+  // of its per-cycle inputs (participants, adversaries, sinks) and
+  // re-initializes its state, so nothing carries from one cycle to the next.
+  if (!gossip_) {
+    gossip::PushSumConfig ps;
+    ps.epsilon = config_.epsilon;
+    ps.stable_rounds = config_.stable_rounds;
+    ps.max_steps = config_.max_gossip_steps;
+    ps.loss_probability = config_.loss_probability;
+    ps.neighbors_only = config_.neighbors_only;
+    ps.num_threads = config_.num_threads;
+    ps.simd_level = config_.simd_level;
+    gossip_.emplace(n_, ps);  // owns its worker lanes when num_threads != 1
+  }
+  gossip::VectorGossip& gossip = *gossip_;
+  gossip.set_participants(alive != nullptr ? *alive
+                                           : std::vector<std::uint8_t>{});
+  gossip.set_adversary(adv_scale_, adv_withhold_);
   // Step sampling is the kernel's job; the engine emits the richer `cycle`
   // record below, so the kernel sink is only attached when sampling is on.
-  if (events_ != nullptr && step_sample_every_ > 0)
-    gossip.set_event_log(events_, step_sample_every_);
+  const bool sample_steps = events_ != nullptr && step_sample_every_ > 0;
+  gossip.set_event_log(sample_steps ? events_ : nullptr,
+                       sample_steps ? step_sample_every_ : 0);
   std::uint64_t cycle_trace = 0, cycle_span = 0;
   double cycle_base = 0.0;
   if (trace_ != nullptr) {
@@ -110,6 +114,8 @@ CycleStats GossipTrustEngine::run_cycle(const trust::SparseMatrix& s,
     cycle_span = trace_->alloc_span();
     cycle_base = trace_->time_cursor();
     gossip.set_trace(trace_, cycle_base, cycle_trace, cycle_span);
+  } else {
+    gossip.set_trace(nullptr);
   }
   gossip.initialize(s, v);
   const auto gres = gossip.run(rng, overlay);
@@ -161,23 +167,19 @@ CycleStats GossipTrustEngine::run_cycle(const trust::SparseMatrix& s,
     }
   }
 
-  // CycleStats is a snapshot view over the kernel's metrics registry: the
-  // counters/gauges/timer histograms the phases filled (per worker lane,
-  // merged here at the cycle boundary) are the single source of truth.
-  const telemetry::MetricsSnapshot snap = gossip.metrics().snapshot();
+  // The run's result holds this cycle's deltas of the kernel's metrics
+  // (the registry itself accumulates over the engine's lifetime).
   CycleStats stats;
   stats.gossip_steps = gres.steps;
   stats.gossip_converged = gres.converged;
   stats.degraded = degraded;
-  stats.messages_sent = *snap.counter("gossip.messages_sent");
-  stats.messages_lost = *snap.counter("gossip.messages_lost");
-  stats.triplets_sent = *snap.counter("gossip.triplets_sent");
-  stats.active_triplets =
-      static_cast<std::uint64_t>(*snap.gauge("gossip.active_triplets"));
-  stats.zero_components_skipped = *snap.counter("gossip.zero_components_skipped");
-  stats.send_phase_seconds = snap.histogram("gossip.send_phase_seconds")->sum;
-  stats.bookkeeping_phase_seconds =
-      snap.histogram("gossip.bookkeeping_phase_seconds")->sum;
+  stats.messages_sent = gres.messages_sent;
+  stats.messages_lost = gres.messages_lost;
+  stats.triplets_sent = gres.triplets_sent;
+  stats.active_triplets = gres.active_triplets;
+  stats.zero_components_skipped = gres.zero_components_skipped;
+  stats.send_phase_seconds = gres.send_phase_seconds;
+  stats.bookkeeping_phase_seconds = gres.bookkeeping_phase_seconds;
   stats.readout_seconds = readout_seconds;
   stats.change_from_previous = mean_relative_error(next, v);
 

@@ -14,13 +14,11 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "core/power_nodes.hpp"
 #include "gossip/vector_gossip.hpp"
 #include "graph/topology.hpp"
@@ -48,9 +46,9 @@ struct GossipTrustConfig {
                                    ///< bit-identical at every level)
 };
 
-/// Per-cycle telemetry: a snapshot view over the gossip kernel's metrics
-/// registry (counters/gauges/histogram sums merged across worker lanes at
-/// the cycle boundary) plus engine-level cycle outcomes.
+/// Per-cycle telemetry: the gossip kernel's counters, gauge and phase
+/// timings for this cycle's run (merged across worker lanes) plus
+/// engine-level cycle outcomes.
 struct CycleStats {
   std::size_t gossip_steps = 0;
   bool gossip_converged = false;
@@ -61,7 +59,8 @@ struct CycleStats {
   std::uint64_t active_triplets = 0;          ///< live (x,w) components at cycle end
   std::uint64_t zero_components_skipped = 0;  ///< structural zeros never gossiped
   double send_phase_seconds = 0.0;            ///< route/bucket/gather wall time
-  double bookkeeping_phase_seconds = 0.0;     ///< convergence-tracking wall time
+                                              ///< (stability check included)
+  double bookkeeping_phase_seconds = 0.0;     ///< O(n) support-count wall time
   double readout_seconds = 0.0;               ///< consensus read-out wall time
   double change_from_previous = 0.0;  ///< mean relative error vs previous V
 };
@@ -141,7 +140,10 @@ class GossipTrustEngine {
  private:
   std::size_t n_;
   GossipTrustConfig config_;
-  std::unique_ptr<ThreadPool> pool_;  // shared by every cycle's gossip kernel
+  // The gossip kernel and its worker lanes: built by the first cycle, then
+  // re-initialized by every cycle (4 n^2 doubles of state, allocated once
+  // per engine).
+  std::optional<gossip::VectorGossip> gossip_;
   telemetry::EventLog* events_ = nullptr;
   std::size_t step_sample_every_ = 0;
   std::uint64_t cycles_emitted_ = 0;  // cycle index stamped onto records

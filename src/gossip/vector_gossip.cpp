@@ -9,11 +9,6 @@
 #include "telemetry/scoped_timer.hpp"
 
 namespace gt::gossip {
-namespace {
-
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
-
-}  // namespace
 
 VectorGossip::VectorGossip(std::size_t n, PushSumConfig config, ThreadPool* pool)
     : n_(n),
@@ -23,8 +18,6 @@ VectorGossip::VectorGossip(std::size_t n, PushSumConfig config, ThreadPool* pool
       w_(simd::padded_size(n * n), 0.0),
       inbox_x_(simd::padded_size(n * n), 0.0),
       inbox_w_(simd::padded_size(n * n), 0.0),
-      prev_ratio_(simd::padded_size(n * n), kNaN),
-      stable_count_(n, 0),
       active_(n),
       next_active_(n),
       dense_(n, 0),
@@ -33,7 +26,9 @@ VectorGossip::VectorGossip(std::size_t n, PushSumConfig config, ThreadPool* pool
       delivered_(n, 0),
       keep_(n, 1.0),
       in_off_(n + 1, 0),
-      in_senders_(n, 0) {
+      in_senders_(n, 0),
+      payload_half_(n, 0),
+      payload_whole_(n, 0) {
   if (n == 0) throw std::invalid_argument("VectorGossip: n must be positive");
   simd_level_ = simd::resolve_level(config_.simd_level);
   kn_ = &simd::kernels(simd_level_);
@@ -130,8 +125,6 @@ void VectorGossip::initialize(const trust::SparseMatrix& s, std::span<const doub
   std::fill(w_.begin(), w_.end(), 0.0);
   std::fill(inbox_x_.begin(), inbox_x_.end(), 0.0);
   std::fill(inbox_w_.begin(), inbox_w_.end(), 0.0);
-  std::fill(prev_ratio_.begin(), prev_ratio_.end(), kNaN);
-  std::fill(stable_count_.begin(), stable_count_.end(), 0);
   std::fill(dense_.begin(), dense_.end(), 0);
   std::fill(next_dense_.begin(), next_dense_.end(), 0);
   for (NodeId i = 0; i < n_; ++i) {
@@ -139,6 +132,7 @@ void VectorGossip::initialize(const trust::SparseMatrix& s, std::span<const doub
     next_active_[i].clear();
   }
   streams_seeded_ = false;  // next step derives fresh per-node streams
+  stable_steps_ = 0;
 
   const double uniform = 1.0 / static_cast<double>(n_);
   for (NodeId i = 0; i < n_; ++i) {
@@ -168,6 +162,7 @@ void VectorGossip::initialize(const trust::SparseMatrix& s, std::span<const doub
       }
     }
     row_w(i)[i] = 1.0;  // only node j holds the consensus factor for j
+    count_payload(i, xi, row_w(i), dense_[i] != 0, active_[i]);
   }
 }
 
@@ -245,24 +240,18 @@ void VectorGossip::route_phase(const graph::Graph* overlay) {
       }
 
       if (have_target) {
-        // Payload accounting walks only the active support; a lost message
-        // still carried its (un-halved) payload onto the wire. A
-        // withholding adversary ships only its own component.
-        const double* xi = row_x(i);
-        const double* wi = row_w(i);
-        const double h = lost ? 1.0 : 0.5;
-        std::uint64_t payload = 0;
+        // Payload accounting: the last gather (or initialize) counted this
+        // row's support at both halving factors; a lost message still
+        // carried its (un-halved) payload onto the wire. A withholding
+        // adversary ships only its own component.
         if (adv_withholds(i)) {
-          payload = (h * xi[i] != 0.0 || h * wi[i] != 0.0) ? 1 : 0;
-          if (!dense_[i]) ctr.skipped += n_ - active_[i].size();
-        } else if (dense_[i]) {
-          payload = kn_->count_nonzero_pair(xi, wi, h, n_);
+          const double h = lost ? 1.0 : 0.5;
+          ctr.triplets +=
+              (h * row_x(i)[i] != 0.0 || h * row_w(i)[i] != 0.0) ? 1 : 0;
         } else {
-          for (const NodeId j : active_[i])
-            payload += (h * xi[j] != 0.0 || h * wi[j] != 0.0);
-          ctr.skipped += n_ - active_[i].size();
+          ctr.triplets += lost ? payload_whole_[i] : payload_half_[i];
         }
-        ctr.triplets += payload;
+        if (!dense_[i]) ctr.skipped += n_ - active_[i].size();
       }
     }
     metrics_->add(c_sent_, ctr.sent, c);
@@ -288,9 +277,62 @@ void VectorGossip::bucket_phase() {
   in_off_[0] = 0;
 }
 
-void VectorGossip::gather_phase() {
+void VectorGossip::count_payload(NodeId i, const double* x, const double* w,
+                                 bool dense, const std::vector<NodeId>& support) {
+  // h = 1 (a lost push) can only occur when messages may be lost.
+  const bool lossy = config_.loss_probability > 0.0;
+  std::uint64_t half = 0, whole = 0;
+  if (dense) {
+    half = kn_->count_nonzero_pair(x, w, 0.5, n_);
+    if (lossy) whole = kn_->count_nonzero_pair(x, w, 1.0, n_);
+  } else {
+    for (const NodeId j : support) {
+      half += (0.5 * x[j] != 0.0 || 0.5 * w[j] != 0.0);
+      if (lossy) whole += (1.0 * x[j] != 0.0 || 1.0 * w[j] != 0.0);
+    }
+  }
+  payload_half_[i] = half;
+  payload_whole_[i] = whole;
+}
+
+bool VectorGossip::row_is_stable(NodeId r, const double* x, const double* w,
+                                 const double* x_old,
+                                 const double* w_old) const {
+  // Algorithm 1 line 14 for one live node: every component owned by a live
+  // peer is defined and moved by at most epsilon since the last step.
+  // Components of departed peers are never consulted.
+  const double floor = kWeightFloor;
+  const double eps = config_.epsilon;
+  const bool masked = !alive_.empty();
+  if (next_dense_[r]) {
+    if (!masked) return kn_->row_stable(x, w, x_old, w_old, floor, eps, n_);
+    for (const NodeId j : alive_list_)
+      if (!simd::element_stable(x[j], w[j], x_old[j], w_old[j], floor, eps))
+        return false;
+    return true;
+  }
+  // A sparse row missing an owned component is unstable; unmasked, that
+  // is every sparse row (a full support would have densified).
+  const auto& support = next_active_[r];
+  const std::size_t owned_total = masked ? alive_list_.size() : n_;
+  if (support.size() < owned_total) return false;
+  std::size_t owned = 0;
+  for (const NodeId j : support) {
+    if (masked && !alive_[j]) continue;
+    ++owned;
+    if (!simd::element_stable(x[j], w[j], x_old[j], w_old[j], floor, eps))
+      return false;
+  }
+  return owned == owned_total;
+}
+
+bool VectorGossip::gather_phase(bool check_stability) {
   const bool masked = !alive_.empty();
   const std::size_t chunks = std::min(lanes(), n_);
+  // Cleared by the first unstable row any lane finds; later rows skip the
+  // check. The verdict is an AND over rows, so it does not depend on which
+  // lane got there first.
+  std::atomic<bool> stable{check_stability};
   for_chunks(n_, chunks, [&](std::size_t b, std::size_t e, std::size_t chunk) {
     UnionScratch& sc = scratch_[chunk];
     for (NodeId r = b; r < e; ++r) {
@@ -424,86 +466,44 @@ void VectorGossip::gather_phase() {
           if (c != 1.0) nx[s] += (c - 1.0) * 0.5 * row_x(s)[s];
         }
       }
+
+      // The finished row is still in L1: count what it will push next
+      // step, and compare it with the old row (xr, wr), which holds exactly
+      // the ratios the last step left (see step()).
+      count_payload(r, nx, nw, next_dense_[r] != 0, next_active_[r]);
+      if (stable.load() && !row_is_stable(r, nx, nw, xr, wr))
+        stable.store(false);
     }
   });
+  return stable.load();
 }
 
 void VectorGossip::bookkeeping_phase(VectorGossipResult& result) {
-  // Local convergence bookkeeping (Algorithm 1 line 14, per component).
-  // Only live nodes participate, and only components owned by live peers
-  // can ever hold a defined ratio (the owner seeds the consensus factor);
-  // a node is stable only once every owned component is defined and has
-  // moved by at most epsilon — so any owned component still missing from
-  // the active set keeps the node unstable without a dense sweep.
-  const bool masked = !alive_.empty();
-  const std::uint8_t* alive = masked ? alive_.data() : nullptr;
-  const std::size_t owned_total = masked ? alive_list_.size() : n_;
-  const std::size_t chunks = std::min(lanes(), n_);
-  // Support size is a snapshot (not monotonic), so it accumulates into a
-  // phase-local atomic: integer adds commute, so the total is independent
-  // of chunk completion order.
-  std::atomic<std::uint64_t> active_total{0};
-  for_chunks(n_, chunks, [&](std::size_t b, std::size_t e, std::size_t) {
-    std::uint64_t active = 0;
-    for (NodeId i = b; i < e; ++i) {
-      if (alive != nullptr && !alive[i]) continue;
-      const double* xi = row_x(i);
-      const double* wi = row_w(i);
-      double* prev = prev_ratio_.data() + i * n_;
-      bool stable = true;
-      std::size_t owned_seen = 0;
-      auto visit = [&](NodeId j) {
-        if (alive != nullptr && !alive[j]) return;  // unowned component
-        ++owned_seen;
-        if (wi[j] <= kWeightFloor) {
-          prev[j] = kNaN;
-          stable = false;
-          return;
-        }
-        const double ratio = xi[j] / wi[j];
-        if (std::isnan(prev[j]) || std::abs(ratio - prev[j]) > config_.epsilon)
-          stable = false;
-        prev[j] = ratio;
-      };
-      if (dense_[i]) {
-        active += n_;
-        if (alive == nullptr) {
-          // Unmasked dense rows take the vector kernel: identical branch
-          // semantics per element (see simd::Kernels::residual_nan), and
-          // every component is owned, so owned_seen is trivially n.
-          owned_seen = n_;
-          if (!kn_->residual_nan(xi, wi, prev, kWeightFloor, config_.epsilon,
-                                 n_))
-            stable = false;
-        } else {
-          for (NodeId j = 0; j < n_; ++j) visit(j);
-        }
-      } else {
-        active += active_[i].size();
-        for (const NodeId j : active_[i]) visit(j);
-      }
-      if (owned_seen < owned_total) stable = false;
-      stable_count_[i] = stable ? stable_count_[i] + 1 : 0;
-    }
-    active_total.fetch_add(active, std::memory_order_relaxed);
-  });
-  // Snapshot of the current step's support, mirrored into the gauge.
-  result.active_triplets = active_total.load(std::memory_order_relaxed);
-  metrics_->set(g_active_, static_cast<double>(result.active_triplets));
+  // Snapshot of the step's support: O(n) over the density flags and list
+  // lengths (dead rows hold empty supports), mirrored into the gauge.
+  std::uint64_t active = 0;
+  for (NodeId i = 0; i < n_; ++i) active += dense_[i] ? n_ : active_[i].size();
+  result.active_triplets = active;
+  metrics_->set(g_active_, static_cast<double>(active));
 }
 
 void VectorGossip::step(Rng& rng, const graph::Graph* overlay,
                         VectorGossipResult& result) {
-  if (!streams_seeded_) seed_streams(rng.next_u64());
+  // The first step after initialize() has no earlier step to be stable
+  // against (its old rows are the seeded state, not a gossip result), so
+  // it is unstable by definition and skips the check.
+  const bool first = !streams_seeded_;
+  if (first) seed_streams(rng.next_u64());
   // Counter partials land in the registry lanes during the phases; the
   // caller's result struct receives this step's merged delta.
   const CounterTotals before = counter_totals();
+  bool stable = false;
   {
     telemetry::ScopedTimer timer(*metrics_, h_send_, 0,
                                  &result.send_phase_seconds);
     route_phase(overlay);
     bucket_phase();
-    gather_phase();
+    stable = gather_phase(/*check_stability=*/!first);
     x_.swap(inbox_x_);
     w_.swap(inbox_w_);
     active_.swap(next_active_);
@@ -514,6 +514,7 @@ void VectorGossip::step(Rng& rng, const graph::Graph* overlay,
                                  &result.bookkeeping_phase_seconds);
     bookkeeping_phase(result);
   }
+  stable_steps_ = stable ? stable_steps_ + 1 : 0;
   const CounterTotals after = counter_totals();
   result.messages_sent += after.sent - before.sent;
   result.messages_lost += after.lost - before.lost;
@@ -523,7 +524,6 @@ void VectorGossip::step(Rng& rng, const graph::Graph* overlay,
 
 VectorGossipResult VectorGossip::run(Rng& rng, const graph::Graph* overlay) {
   VectorGossipResult result;
-  const bool masked = !alive_.empty();
   // Synchronous trace axis: step k of this run covers [base + k, base + k + 1).
   const bool traced = trace_ != nullptr;
   double trace_base = 0.0;
@@ -587,16 +587,7 @@ VectorGossipResult VectorGossip::run(Rng& rng, const graph::Graph* overlay) {
           .field("triplets_sent", result.triplets_sent)
           .field("active_triplets", result.active_triplets);
     }
-    bool all_stable = true;
-    const std::size_t count = masked ? alive_list_.size() : n_;
-    for (std::size_t si = 0; si < count; ++si) {
-      const NodeId i = masked ? alive_list_[si] : si;
-      if (stable_count_[i] < config_.stable_rounds) {
-        all_stable = false;
-        break;
-      }
-    }
-    if (all_stable) {
+    if (stable_steps_ >= config_.stable_rounds) {
       result.converged = true;
       break;
     }

@@ -11,22 +11,38 @@
 // component access, but the kernel never sweeps dense rows blindly: each
 // node keeps the list of its *active* components (seeded from its
 // SparseMatrix row plus the consensus-factor diagonal, grown by set union
-// on receive), and all per-step work — halving, payload accounting,
-// convergence bookkeeping, the consensus read-out — walks only those lists
-// until a row actually densifies (after which it flips to a contiguous
-// dense fast path with no index indirection).
+// on receive), and all per-step work — halving, payload accounting, the
+// stability check, the consensus read-out — walks only those lists until a
+// row actually densifies (after which it flips to a contiguous dense fast
+// path with no index indirection).
 //
 // The step itself is organised as three node-partitioned parallel phases
 // over a gt::ThreadPool:
 //   A (route):   each node draws its push target and loss coin from its own
-//                RNG stream (seeded mix64(base, i)) and counts its payload;
+//                RNG stream (seeded mix64(base, i)) and books the payload
+//                the last gather counted for it;
 //   B (bucket):  a serial O(n) counting sort turns target choices into
 //                per-receiver sender lists, ascending by sender id;
 //   C (gather):  each receiver owns its output row exclusively and folds
-//                keep-half + received halves in ascending-sender order.
+//                keep-half + received halves in ascending-sender order,
+//                then, while the row is still in L1, counts its next
+//                payload and checks it for epsilon-stability.
 // Because every floating-point accumulation order is fixed by node ids and
 // never by scheduling, results are bit-identical for any thread count,
 // including the serial num_threads == 1 path.
+//
+// Convergence is one bit per step. "Every live node stable for R
+// consecutive steps" is exactly "R consecutive steps on which every live
+// node was stable", so the kernel keeps one counter, not one per node. A
+// node is stable on a step when each owned component's ratio x/w moved by
+// at most epsilon; the gather checks the row it just wrote against the
+// receiver's old row, which holds exactly the ratios the last step left:
+// within a run supports only grow, and both state buffers are exactly 0
+// outside them, so a component the last step did not define reads as
+// undefined there too. The check stops for the rest of a step at the first
+// unstable row, and the first step after initialize() is unstable by
+// definition. The state is four n x n arrays (X, W and their next-step
+// buffers): 8 MiB at n = 512.
 #pragma once
 
 #include <cstddef>
@@ -57,8 +73,10 @@ struct VectorGossipResult {
   std::uint64_t triplets_sent = 0;  ///< payload volume: nonzero entries pushed
   std::uint64_t active_triplets = 0;          ///< live (x,w) components after the last step
   std::uint64_t zero_components_skipped = 0;  ///< structurally-zero sends skipped, summed over steps
-  double send_phase_seconds = 0.0;         ///< route + bucket + gather wall time
-  double bookkeeping_phase_seconds = 0.0;  ///< convergence-tracking wall time
+  double send_phase_seconds = 0.0;  ///< route + bucket + gather wall time,
+                                    ///< payload count and stability check
+                                    ///< included
+  double bookkeeping_phase_seconds = 0.0;  ///< O(n) support-count wall time
 };
 
 /// Synchronous-round vector push-sum over n nodes and n components.
@@ -187,8 +205,17 @@ class VectorGossip {
   void seed_streams(std::uint64_t base);
   void route_phase(const graph::Graph* overlay);
   void bucket_phase();
-  void gather_phase();
+  /// Returns true when every live row was stable (false without checking
+  /// when check_stability is false).
+  bool gather_phase(bool check_stability);
   void bookkeeping_phase(VectorGossipResult& result);
+  /// Books row i's next push payload: triplets nonzero after halving
+  /// (delivered) and, when messages can be lost, un-halved (lost).
+  void count_payload(NodeId i, const double* x, const double* w, bool dense,
+                     const std::vector<NodeId>& support);
+  /// Stability of live row r (next support) against its old row.
+  bool row_is_stable(NodeId r, const double* x, const double* w,
+                     const double* x_old, const double* w_old) const;
 
   std::size_t n_ = 0;
   PushSumConfig config_;
@@ -207,11 +234,10 @@ class VectorGossip {
   simd::aligned_vector<double> w_;
   simd::aligned_vector<double> inbox_x_;  // accumulation buffers (next state)
   simd::aligned_vector<double> inbox_w_;
-  simd::aligned_vector<double> prev_ratio_;  // last defined beta per (i, j)
 
   simd::SimdLevel simd_level_ = simd::SimdLevel::kScalar;  // resolved
   const simd::Kernels* kn_ = nullptr;  // kernel set for simd_level_
-  std::vector<std::size_t> stable_count_;  // per node
+  std::size_t stable_steps_ = 0;  // consecutive steps with every live row stable
 
   // Sparsity bookkeeping: per-node active component lists, double-buffered
   // across a step (phase C reads senders' current lists while writing its
@@ -230,6 +256,8 @@ class VectorGossip {
   std::vector<double> keep_;            // self-kept fraction (0.5 or 1.0)
   std::vector<std::size_t> in_off_;     // n + 1 offsets into in_senders_
   std::vector<NodeId> in_senders_;      // delivered senders, ascending per receiver
+  std::vector<std::uint64_t> payload_half_;   // next push if delivered (h = 0.5)
+  std::vector<std::uint64_t> payload_whole_;  // next push if lost (h = 1)
 
   // Per-chunk union markers for the sparse gather (stamp-versioned so they
   // never need clearing between receivers).

@@ -14,7 +14,6 @@
 #include "simd/kernels.hpp"
 
 #include <cmath>
-#include <limits>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
@@ -27,8 +26,6 @@
 
 namespace gt::simd {
 namespace {
-
-constexpr double kNaN = std::numeric_limits<double>::quiet_NaN();
 
 // ---------------------------------------------------------------------------
 // Scalar kernels (the oracle). Element semantics live here once; vector
@@ -53,26 +50,13 @@ void add_scalar(double* dst, const double* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] += src[i];
 }
 
-/// One element of the VectorGossip bookkeeping sweep; returns "element
-/// was stable".
-inline bool residual_nan_one(double x, double w, double* prev, double floor,
-                             double eps) {
-  if (w <= floor) {
-    *prev = kNaN;
-    return false;
-  }
-  const double ratio = x / w;
-  const bool unstable = std::isnan(*prev) || std::abs(ratio - *prev) > eps;
-  *prev = ratio;
-  return !unstable;
-}
-
-bool residual_nan_scalar(const double* x, const double* w, double* prev,
-                         double floor, double eps, std::size_t n) {
-  bool stable = true;
+bool row_stable_scalar(const double* x, const double* w, const double* x_old,
+                       const double* w_old, double floor, double eps,
+                       std::size_t n) {
   for (std::size_t i = 0; i < n; ++i)
-    stable &= residual_nan_one(x[i], w[i], prev + i, floor, eps);
-  return stable;
+    if (!element_stable(x[i], w[i], x_old[i], w_old[i], floor, eps))
+      return false;
+  return true;
 }
 
 /// One element of the ShardedGossip stability sweep.
@@ -139,7 +123,7 @@ double sum_scalar(const double* v, std::size_t n) {
 const Kernels kScalarKernels = {
     SimdLevel::kScalar,     halve_scalar,
     scale_assign_scalar,    accumulate_scaled_scalar,
-    add_scalar,             residual_nan_scalar,
+    add_scalar,             row_stable_scalar,
     residual_keep_scalar,   ratio_accumulate_scalar,
     count_nonzero_pair_scalar, sum_scalar,
 };
@@ -212,39 +196,33 @@ GT_AVX2 void add_avx2(double* dst, const double* src, std::size_t n) {
   add_scalar(dst + i, src + i, n - i);
 }
 
-GT_AVX2 bool residual_nan_avx2(const double* x, const double* w, double* prev,
-                               double floor, double eps, std::size_t n) {
+GT_AVX2 bool row_stable_avx2(const double* x, const double* w,
+                             const double* x_old, const double* w_old,
+                             double floor, double eps, std::size_t n) {
   const __m256d floorv = _mm256_set1_pd(floor);
   const __m256d epsv = _mm256_set1_pd(eps);
-  const __m256d nanv = _mm256_set1_pd(kNaN);
   const __m256d absmask =
       _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
-  const __m256d ones = _mm256_castsi256_pd(_mm256_set1_epi64x(-1));
-  __m256d unstable_acc = _mm256_setzero_pd();
   std::size_t i = 0;
   for (; i + 4 <= n; i += 4) {
     const __m256d wv = _mm256_loadu_pd(w + i);
-    const __m256d xv = _mm256_loadu_pd(x + i);
-    const __m256d pv = _mm256_loadu_pd(prev + i);
+    const __m256d wov = _mm256_loadu_pd(w_old + i);
     // defined := !(w <= floor)  (true for NaN w, like the scalar branch)
-    const __m256d defined = _mm256_cmp_pd(wv, floorv, _CMP_NLE_UQ);
-    const __m256d ratio = _mm256_div_pd(xv, wv);
-    // per-lane instability for defined lanes:
-    //   isnan(prev) || |ratio - prev| > eps   (GT_OQ: NaN diff -> false)
-    const __m256d prev_nan = _mm256_cmp_pd(pv, pv, _CMP_UNORD_Q);
-    const __m256d diff = _mm256_and_pd(_mm256_sub_pd(ratio, pv), absmask);
+    const __m256d defined =
+        _mm256_and_pd(_mm256_cmp_pd(wv, floorv, _CMP_NLE_UQ),
+                      _mm256_cmp_pd(wov, floorv, _CMP_NLE_UQ));
+    const __m256d ratio = _mm256_div_pd(_mm256_loadu_pd(x + i), wv);
+    const __m256d prev = _mm256_div_pd(_mm256_loadu_pd(x_old + i), wov);
+    const __m256d prev_num = _mm256_cmp_pd(prev, prev, _CMP_ORD_Q);
+    // moved := |ratio - prev| > eps  (GT_OQ: NaN diff -> false)
+    const __m256d diff = _mm256_and_pd(_mm256_sub_pd(ratio, prev), absmask);
     const __m256d moved = _mm256_cmp_pd(diff, epsv, _CMP_GT_OQ);
-    const __m256d unstable_def = _mm256_or_pd(prev_nan, moved);
-    const __m256d unstable =
-        _mm256_or_pd(_mm256_andnot_pd(defined, ones),
-                     _mm256_and_pd(defined, unstable_def));
-    unstable_acc = _mm256_or_pd(unstable_acc, unstable);
-    _mm256_storeu_pd(prev + i, _mm256_blendv_pd(nanv, ratio, defined));
+    const __m256d stable =
+        _mm256_andnot_pd(moved, _mm256_and_pd(defined, prev_num));
+    if (_mm256_movemask_pd(stable) != 0xF) return false;
   }
-  bool stable = _mm256_movemask_pd(unstable_acc) == 0;
-  for (; i < n; ++i)
-    stable &= residual_nan_one(x[i], w[i], prev + i, floor, eps);
-  return stable;
+  return row_stable_scalar(x + i, w + i, x_old + i, w_old + i, floor, eps,
+                           n - i);
 }
 
 GT_AVX2 bool residual_keep_avx2(const double* x, const double* w, double* prev,
@@ -339,7 +317,7 @@ GT_AVX2 double sum_avx2(const double* v, std::size_t n) {
 const Kernels kAvx2Kernels = {
     SimdLevel::kAvx2,       halve_avx2,
     scale_assign_avx2,      accumulate_scaled_avx2,
-    add_avx2,               residual_nan_avx2,
+    add_avx2,               row_stable_avx2,
     residual_keep_avx2,     ratio_accumulate_avx2,
     count_nonzero_pair_avx2, sum_avx2,
 };
@@ -420,7 +398,7 @@ GT_AVX512 void add_avx512(double* dst, const double* src, std::size_t n) {
 const Kernels kAvx512Kernels = {
     SimdLevel::kAvx512,     halve_avx512,
     scale_assign_avx512,    accumulate_scaled_avx512,
-    add_avx512,             residual_nan_avx2,
+    add_avx512,             row_stable_avx2,
     residual_keep_avx2,     ratio_accumulate_avx2,
     count_nonzero_pair_avx2, sum_avx2,
 };
@@ -482,36 +460,30 @@ inline uint64x2_t not_u64(uint64x2_t v) {
   return veorq_u64(v, vdupq_n_u64(~0ULL));
 }
 
-bool residual_nan_neon(const double* x, const double* w, double* prev,
-                       double floor, double eps, std::size_t n) {
+bool row_stable_neon(const double* x, const double* w, const double* x_old,
+                     const double* w_old, double floor, double eps,
+                     std::size_t n) {
   const float64x2_t floorv = vdupq_n_f64(floor);
   const float64x2_t epsv = vdupq_n_f64(eps);
-  const float64x2_t nanv = vdupq_n_f64(kNaN);
-  uint64x2_t unstable_acc = vdupq_n_u64(0);
   std::size_t i = 0;
   for (; i + 2 <= n; i += 2) {
     const float64x2_t wv = vld1q_f64(w + i);
-    const float64x2_t xv = vld1q_f64(x + i);
-    const float64x2_t pv = vld1q_f64(prev + i);
+    const float64x2_t wov = vld1q_f64(w_old + i);
     // defined := !(w <= floor); vcleq is false on NaN, so NOT gives true.
-    const uint64x2_t defined = not_u64(vcleq_f64(wv, floorv));
-    const float64x2_t ratio = vdivq_f64(xv, wv);
-    // isnan(prev) == !(prev == prev)
-    const uint64x2_t prev_nan = not_u64(vceqq_f64(pv, pv));
-    const float64x2_t diff = vabsq_f64(vsubq_f64(ratio, pv));
-    const uint64x2_t moved = vcgtq_f64(diff, epsv);  // NaN -> false
-    const uint64x2_t unstable_def = vorrq_u64(prev_nan, moved);
-    const uint64x2_t unstable =
-        vorrq_u64(vbicq_u64(vdupq_n_u64(~0ULL), defined),
-                  vandq_u64(defined, unstable_def));
-    unstable_acc = vorrq_u64(unstable_acc, unstable);
-    vst1q_f64(prev + i, vbslq_f64(defined, ratio, nanv));
+    const uint64x2_t defined = not_u64(
+        vorrq_u64(vcleq_f64(wv, floorv), vcleq_f64(wov, floorv)));
+    const float64x2_t ratio = vdivq_f64(vld1q_f64(x + i), wv);
+    const float64x2_t prev = vdivq_f64(vld1q_f64(x_old + i), wov);
+    // !isnan(prev) == (prev == prev)
+    const uint64x2_t prev_num = vceqq_f64(prev, prev);
+    const uint64x2_t moved =
+        vcgtq_f64(vabsq_f64(vsubq_f64(ratio, prev)), epsv);  // NaN -> false
+    const uint64x2_t stable = vbicq_u64(vandq_u64(defined, prev_num), moved);
+    if ((vgetq_lane_u64(stable, 0) & vgetq_lane_u64(stable, 1)) == 0)
+      return false;
   }
-  bool stable = (vgetq_lane_u64(unstable_acc, 0) |
-                 vgetq_lane_u64(unstable_acc, 1)) == 0;
-  for (; i < n; ++i)
-    stable &= residual_nan_one(x[i], w[i], prev + i, floor, eps);
-  return stable;
+  return row_stable_scalar(x + i, w + i, x_old + i, w_old + i, floor, eps,
+                           n - i);
 }
 
 bool residual_keep_neon(const double* x, const double* w, double* prev,
@@ -596,7 +568,7 @@ double sum_neon(const double* v, std::size_t n) {
 const Kernels kNeonKernels = {
     SimdLevel::kNeon,       halve_neon,
     scale_assign_neon,      accumulate_scaled_neon,
-    add_neon,               residual_nan_neon,
+    add_neon,               row_stable_neon,
     residual_keep_neon,     ratio_accumulate_neon,
     count_nonzero_pair_neon, sum_neon,
 };

@@ -17,10 +17,10 @@
 // compiled with -ffp-contract=off -fno-tree-vectorize so the scalar
 // reference really is sequential scalar code even at -O3.
 //
-// NaN semantics are part of the contract: the residual kernels replicate
-// the exact branch predicates of the loops they replace (documented per
-// kernel), because an undefined weight or a first-step NaN prev-ratio is
-// a *normal* state in push-sum, not an error.
+// NaN semantics are part of the contract: the stability kernels replicate
+// the exact branch predicates of their scalar definitions (documented per
+// kernel), because an undefined weight or a NaN ratio is a *normal* state
+// in push-sum, not an error.
 //
 // Pointer rules: all pointers may be unaligned (kernels use unaligned
 // loads; the SoA arrays are 64-byte aligned anyway for the fast path) and
@@ -28,6 +28,7 @@
 // overlapping ranges are not.
 #pragma once
 
+#include <cmath>
 #include <cstddef>
 #include <cstdint>
 
@@ -56,14 +57,13 @@ struct Kernels {
   /// dst[i] += src[i] — payload application / chunk-accumulator merge.
   void (*add)(double* dst, const double* src, std::size_t n);
 
-  /// VectorGossip bookkeeping sweep. For each i:
-  ///   if (w[i] <= floor)  prev[i] = NaN, row unstable;
-  ///   else ratio = x[i]/w[i]; unstable when isnan(prev[i]) or
-  ///        |ratio - prev[i]| > eps; prev[i] = ratio.
-  /// Returns true when every element was stable. (NaN w counts as
-  /// defined — !(NaN <= floor) — exactly like the scalar branch.)
-  bool (*residual_nan)(const double* x, const double* w, double* prev,
-                       double floor, double eps, std::size_t n);
+  /// VectorGossip row stability: true when element_stable() (below) holds
+  /// for every i between the new row (x, w) and the same node's row one
+  /// step earlier (x_old, w_old). Read-only; it returns at the first
+  /// unstable block, since only the verdict is an output.
+  bool (*row_stable)(const double* x, const double* w, const double* x_old,
+                     const double* w_old, double floor, double eps,
+                     std::size_t n);
 
   /// ShardedGossip stability sweep. For each i:
   ///   if (!(w[i] > floor))  row unstable, prev[i] untouched;
@@ -89,6 +89,22 @@ struct Kernels {
   /// order explicitly (new call sites only; pinned by golden tests).
   double (*sum)(const double* v, std::size_t n);
 };
+
+/// One element of Kernels::row_stable, and the scalar definition every
+/// level reproduces. A component is epsilon-stable when both its new and
+/// its old weight are defined, the old ratio is a number, and the ratio
+/// moved by at most eps:
+///   !(w <= floor) && !(w_old <= floor) && !isnan(x_old / w_old)
+///   && !(|x / w - x_old / w_old| > eps)
+/// A NaN weight counts as defined (!(NaN <= floor)), and a NaN new ratio
+/// against a numeric old one is stable (|NaN| > eps is false). There is no
+/// multiply-add to contract, so callers outside kernels.cpp may inline it.
+inline bool element_stable(double x, double w, double x_old, double w_old,
+                           double floor, double eps) {
+  if (w <= floor || w_old <= floor) return false;
+  const double prev = x_old / w_old;
+  return !std::isnan(prev) && !(std::abs(x / w - prev) > eps);
+}
 
 /// Kernel set for a level. kAuto resolves via resolve_level(); a concrete
 /// unsupported level degrades to the scalar set (mirroring

@@ -85,10 +85,21 @@ Options parse(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--bind") o.bind = need(i++);
-    else if (a == "--port") o.port = static_cast<std::uint16_t>(std::atoi(need(i++)));
+    else if (a == "--port") {
+      // Parsed wide so 70000 is rejected instead of wrapping to 4464.
+      const long long port = std::atoll(need(i++));
+      if (port < 0 || port > 65535) usage(argv[0], "--port must be in [0, 65535]");
+      o.port = static_cast<std::uint16_t>(port);
+    }
     else if (a == "--n") o.n = static_cast<std::size_t>(std::atoll(need(i++)));
     else if (a == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(need(i++)));
-    else if (a == "--refold") o.refold = static_cast<std::size_t>(std::atoll(need(i++)));
+    else if (a == "--refold") {
+      // 0 (or garbage, which reads as 0) would refold on every tick with
+      // no new feedback and republish drifting scores.
+      const long long refold = std::atoll(need(i++));
+      if (refold < 1) usage(argv[0], "--refold must be >= 1");
+      o.refold = static_cast<std::size_t>(refold);
+    }
     else if (a == "--telemetry") o.telemetry = need(i++);
     else if (a == "--poll") o.use_poll = true;
     else if (a == "--max-seconds") o.max_seconds = std::atof(need(i++));
