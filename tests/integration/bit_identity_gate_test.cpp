@@ -436,6 +436,36 @@ TEST(BitIdentityGate, EngineTinyNetworks) {
   check_scenario("tiny_n3", sc, 0x4058068ab50d0232ULL);
 }
 
+// The same scenarios at n = 300, where the column-blocked kernel's derived
+// block width splits the state into several blocks on any L2 of 2 MiB or
+// less (n = 64 is one block on every host). Captured on the row-major
+// kernel, so they pin the blocked kernel's cross-block schedule, stop rule
+// and counters to it.
+TEST(BitIdentityGate, EngineScenariosN300) {
+  GateScenario sc;
+  sc.n = 300;
+  sc.churn = true;
+  check_scenario("churn_n300", sc, 0x9a60efb59de34f6dULL);
+  sc.overlay = true;
+  check_scenario("churn_overlay_n300", sc, 0x76317a40124c57a8ULL);
+  sc = GateScenario{};
+  sc.n = 300;
+  sc.loss = 0.05;
+  check_scenario("loss_n300", sc, 0x403b46bd995fdb2aULL);
+  sc = GateScenario{};
+  sc.n = 300;
+  sc.adversary = true;
+  check_scenario("adversary_n300", sc, 0x1d35d46e10fa1af9ULL);
+  sc = GateScenario{};
+  sc.n = 300;
+  sc.stable_rounds = 0;
+  check_scenario("stable0_n300", sc, 0xbbb6c0e53f6f587eULL);
+  sc.stable_rounds = 1;
+  check_scenario("stable1_n300", sc, 0xc476bd33a3a7af8aULL);
+  sc.stable_rounds = 3;
+  check_scenario("stable3_n300", sc, 0x3a6b8c41660b90f0ULL);
+}
+
 TEST(BitIdentityGate, ShardedSimdLevelsMatchGolden) {
   check("sharded_n64_scalar",
         sharded_hash(64, 1, 1, simd::SimdLevel::kScalar),
