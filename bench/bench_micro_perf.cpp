@@ -197,6 +197,8 @@ void BM_GossipCycle(benchmark::State& state) {
 BENCHMARK(BM_GossipCycle)
     ->Args({512, 1})
     ->Args({512, 4})
+    ->Args({2048, 1})
+    ->Args({2048, 4})
     ->Unit(benchmark::kMillisecond);
 
 void BM_BloomInsertContains(benchmark::State& state) {

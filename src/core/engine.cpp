@@ -123,8 +123,8 @@ CycleStats GossipTrustEngine::run_cycle(const trust::SparseMatrix& s,
   // Consensus read-out: the system-wide agreed value for component j is the
   // (near-identical) per-node ratio; we average defined per-node estimates,
   // which keeps residual gossip error in the result the way a real
-  // deployment would experience it. The kernel walks only active components,
-  // so departed peers (and anything nobody heard about) read out as 0.
+  // deployment would experience it. Only defined estimates count, so
+  // departed peers (and anything nobody heard about) read out as 0.
   const auto readout_begin = std::chrono::steady_clock::now();
   std::vector<double> next = gossip.consensus_means();
   const double readout_seconds =

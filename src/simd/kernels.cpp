@@ -102,6 +102,32 @@ std::uint64_t count_nonzero_pair_scalar(const double* x, const double* w,
   return count;
 }
 
+/// Elements [i0, n) of gather_row: the definition every level reproduces.
+void gather_row_part(double* nx, double* nw, const double* x, const double* w,
+                     double keep, const double* const* sx,
+                     const double* const* sw, std::size_t k, std::size_t i0,
+                     std::size_t n) {
+  for (std::size_t i = i0; i < n; ++i) {
+    double vx = keep * x[i];
+    double vw = keep * w[i];
+    for (std::size_t s = 0; s < k; ++s) {
+      vx += 0.5 * sx[s][i];
+      vw += 0.5 * sw[s][i];
+    }
+    nx[i] = vx;
+    nw[i] = vw;
+  }
+}
+
+std::uint64_t gather_row_scalar(double* nx, double* nw, const double* x,
+                                const double* w, double keep,
+                                const double* const* sx,
+                                const double* const* sw, std::size_t k,
+                                double h, std::size_t n) {
+  gather_row_part(nx, nw, x, w, keep, sx, sw, k, 0, n);
+  return h != 0.0 ? count_nonzero_pair_scalar(x, w, h, n) : 0;
+}
+
 /// Pinned 4-lane strided reduction — the scalar *definition* of the lane
 /// order every vector variant must reproduce: lane l sums elements
 /// i == l (mod 4) over the aligned prefix, lanes merge (l0+l1)+(l2+l3),
@@ -126,6 +152,7 @@ const Kernels kScalarKernels = {
     add_scalar,             row_stable_scalar,
     residual_keep_scalar,   ratio_accumulate_scalar,
     count_nonzero_pair_scalar, sum_scalar,
+    gather_row_scalar,
 };
 
 // ---------------------------------------------------------------------------
@@ -314,12 +341,48 @@ GT_AVX2 double sum_avx2(const double* v, std::size_t n) {
   return s;
 }
 
+GT_AVX2 std::uint64_t gather_row_avx2(double* nx, double* nw, const double* x,
+                                      const double* w, double keep,
+                                      const double* const* sx,
+                                      const double* const* sw, std::size_t k,
+                                      double h, std::size_t n) {
+  const __m256d kv = _mm256_set1_pd(keep);
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d hv = _mm256_set1_pd(h);
+  const __m256d zero = _mm256_setzero_pd();
+  const bool count_payload = h != 0.0;
+  std::uint64_t count = 0;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d xo = _mm256_loadu_pd(x + i);
+    const __m256d wo = _mm256_loadu_pd(w + i);
+    __m256d vx = _mm256_mul_pd(xo, kv);
+    __m256d vw = _mm256_mul_pd(wo, kv);
+    for (std::size_t s = 0; s < k; ++s) {
+      vx = _mm256_add_pd(vx, _mm256_mul_pd(_mm256_loadu_pd(sx[s] + i), half));
+      vw = _mm256_add_pd(vw, _mm256_mul_pd(_mm256_loadu_pd(sw[s] + i), half));
+    }
+    _mm256_storeu_pd(nx + i, vx);
+    _mm256_storeu_pd(nw + i, vw);
+    if (count_payload) {
+      const __m256d nz = _mm256_or_pd(
+          _mm256_cmp_pd(_mm256_mul_pd(hv, xo), zero, _CMP_NEQ_UQ),
+          _mm256_cmp_pd(_mm256_mul_pd(hv, wo), zero, _CMP_NEQ_UQ));
+      count += static_cast<unsigned>(__builtin_popcount(_mm256_movemask_pd(nz)));
+    }
+  }
+  gather_row_part(nx, nw, x, w, keep, sx, sw, k, i, n);
+  if (count_payload) count += count_nonzero_pair_scalar(x + i, w + i, h, n - i);
+  return count;
+}
+
 const Kernels kAvx2Kernels = {
     SimdLevel::kAvx2,       halve_avx2,
     scale_assign_avx2,      accumulate_scaled_avx2,
     add_avx2,               row_stable_avx2,
     residual_keep_avx2,     ratio_accumulate_avx2,
     count_nonzero_pair_avx2, sum_avx2,
+    gather_row_avx2,
 };
 
 // ---------------------------------------------------------------------------
@@ -395,12 +458,51 @@ GT_AVX512 void add_avx512(double* dst, const double* src, std::size_t n) {
   add_scalar(dst + i, src + i, n - i);
 }
 
+GT_AVX512 std::uint64_t gather_row_avx512(double* nx, double* nw,
+                                          const double* x, const double* w,
+                                          double keep, const double* const* sx,
+                                          const double* const* sw,
+                                          std::size_t k, double h,
+                                          std::size_t n) {
+  const __m512d kv = _mm512_set1_pd(keep);
+  const __m512d half = _mm512_set1_pd(0.5);
+  const __m512d hv = _mm512_set1_pd(h);
+  const __m512d zero = _mm512_setzero_pd();
+  const bool count_payload = h != 0.0;
+  std::uint64_t count = 0;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512d xo = _mm512_loadu_pd(x + i);
+    const __m512d wo = _mm512_loadu_pd(w + i);
+    // Explicit mul then add, as in accumulate_scaled_avx512.
+    __m512d vx = _mm512_mul_pd(xo, kv);
+    __m512d vw = _mm512_mul_pd(wo, kv);
+    for (std::size_t s = 0; s < k; ++s) {
+      vx = _mm512_add_pd(vx, _mm512_mul_pd(_mm512_loadu_pd(sx[s] + i), half));
+      vw = _mm512_add_pd(vw, _mm512_mul_pd(_mm512_loadu_pd(sw[s] + i), half));
+    }
+    _mm512_storeu_pd(nx + i, vx);
+    _mm512_storeu_pd(nw + i, vw);
+    if (count_payload) {
+      // NEQ_UQ: NaN != 0.0 -> true, matching the scalar `!=`.
+      const __mmask8 nz =
+          _mm512_cmp_pd_mask(_mm512_mul_pd(hv, xo), zero, _CMP_NEQ_UQ) |
+          _mm512_cmp_pd_mask(_mm512_mul_pd(hv, wo), zero, _CMP_NEQ_UQ);
+      count += static_cast<unsigned>(__builtin_popcount(nz));
+    }
+  }
+  gather_row_part(nx, nw, x, w, keep, sx, sw, k, i, n);
+  if (count_payload) count += count_nonzero_pair_scalar(x + i, w + i, h, n - i);
+  return count;
+}
+
 const Kernels kAvx512Kernels = {
     SimdLevel::kAvx512,     halve_avx512,
     scale_assign_avx512,    accumulate_scaled_avx512,
     add_avx512,             row_stable_avx2,
     residual_keep_avx2,     ratio_accumulate_avx2,
     count_nonzero_pair_avx2, sum_avx2,
+    gather_row_avx512,
 };
 
 #endif  // GT_SIMD_X86
@@ -565,12 +667,49 @@ double sum_neon(const double* v, std::size_t n) {
   return s;
 }
 
+std::uint64_t gather_row_neon(double* nx, double* nw, const double* x,
+                              const double* w, double keep,
+                              const double* const* sx,
+                              const double* const* sw, std::size_t k,
+                              double h, std::size_t n) {
+  const float64x2_t kv = vdupq_n_f64(keep);
+  const float64x2_t half = vdupq_n_f64(0.5);
+  const float64x2_t hv = vdupq_n_f64(h);
+  const float64x2_t zero = vdupq_n_f64(0.0);
+  const bool count_payload = h != 0.0;
+  std::uint64_t count = 0;
+  std::size_t i = 0;
+  for (; i + 2 <= n; i += 2) {
+    const float64x2_t xo = vld1q_f64(x + i);
+    const float64x2_t wo = vld1q_f64(w + i);
+    // Explicit mul then add — vfmaq would fuse and break bit-identity.
+    float64x2_t vx = vmulq_f64(xo, kv);
+    float64x2_t vw = vmulq_f64(wo, kv);
+    for (std::size_t s = 0; s < k; ++s) {
+      vx = vaddq_f64(vx, vmulq_f64(vld1q_f64(sx[s] + i), half));
+      vw = vaddq_f64(vw, vmulq_f64(vld1q_f64(sw[s] + i), half));
+    }
+    vst1q_f64(nx + i, vx);
+    vst1q_f64(nw + i, vw);
+    if (count_payload) {
+      const uint64x2_t nz =
+          vorrq_u64(not_u64(vceqq_f64(vmulq_f64(hv, xo), zero)),
+                    not_u64(vceqq_f64(vmulq_f64(hv, wo), zero)));
+      count += (vgetq_lane_u64(nz, 0) & 1) + (vgetq_lane_u64(nz, 1) & 1);
+    }
+  }
+  gather_row_part(nx, nw, x, w, keep, sx, sw, k, i, n);
+  if (count_payload) count += count_nonzero_pair_scalar(x + i, w + i, h, n - i);
+  return count;
+}
+
 const Kernels kNeonKernels = {
     SimdLevel::kNeon,       halve_neon,
     scale_assign_neon,      accumulate_scaled_neon,
     add_neon,               row_stable_neon,
     residual_keep_neon,     ratio_accumulate_neon,
     count_nonzero_pair_neon, sum_neon,
+    gather_row_neon,
 };
 
 #endif  // GT_SIMD_NEON

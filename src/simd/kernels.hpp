@@ -88,6 +88,20 @@ struct Kernels {
   /// NOT a drop-in for a sequential left fold — callers adopt the lane
   /// order explicitly (new call sites only; pinned by golden tests).
   double (*sum)(const double* v, std::size_t n);
+
+  /// VectorGossip's one dense gather, for one row of a column block:
+  ///   nx[i] = keep * x[i], then nx[i] += 0.5 * sx[s][i] for s = 0..k-1
+  /// in that order (mul then add, never fused) — exactly scale_assign
+  /// followed by k accumulate_scaled calls — and likewise nw from w and
+  /// sw. It also returns the old row's payload, count_nonzero_pair(x, w,
+  /// h, n), or 0 without reading it when h == 0. The outputs must not
+  /// overlap any input. Gossip state is finite; where two NaN operands
+  /// meet, which payload survives is left open, as IEEE 754 leaves it.
+  std::uint64_t (*gather_row)(double* nx, double* nw, const double* x,
+                              const double* w, double keep,
+                              const double* const* sx,
+                              const double* const* sw, std::size_t k,
+                              double h, std::size_t n);
 };
 
 /// One element of Kernels::row_stable, and the scalar definition every

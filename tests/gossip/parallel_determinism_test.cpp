@@ -136,9 +136,12 @@ TEST(EngineThreadInvariance, AggregationScoresBitIdentical) {
 }
 
 TEST(SparsityAccounting, SkipsStructuralZerosAndGrowsSupport) {
-  // A sparse matrix must actually exercise the skip path: early steps hold
-  // far fewer active triplets than n*n, and skipped zero components are
-  // reported. One dense step would move n*n triplets per n messages.
+  // The kernel sweeps dense rows, but what a real node would send is still
+  // sparse: supports follow the route schedule, so early steps hold far
+  // fewer active triplets than n*n, a pushing node reports the structural
+  // zeros it leaves off the wire as skipped, and its payload counts only
+  // nonzero components. Shipping whole rows would move n*n triplets per n
+  // messages.
   const std::size_t n = 200;
   const auto s = make_matrix(n, 5);
   gossip::PushSumConfig cfg;

@@ -424,6 +424,60 @@ TEST_P(SimdKernelSweep, RatioAccumulateAndPayloadCountBitIdentical) {
   }
 }
 
+// The fused gather is exactly scale_assign followed by one
+// accumulate_scaled per sender, plus count_nonzero_pair on the old row.
+// Inputs hold no NaN: the gossip state is always finite, and when two NaN
+// operands meet IEEE 754 leaves open which payload survives (compilers
+// commute the scalar add). Infinities still make NaNs mid-fold.
+TEST_P(SimdKernelSweep, GatherRowMatchesComposedKernels) {
+  const Kernels& scalar = kernels(SimdLevel::kScalar);
+  const Kernels& vec = kernels(GetParam());
+  const auto no_nan = [](std::vector<double> v) {
+    for (auto& e : v)
+      if (std::isnan(e)) e = 3.0;
+    return v;
+  };
+  for (const std::size_t n : kEdgeSizes) {
+    const auto x = no_nan(ugly_data(n, 11 * n + 2));
+    const auto w = no_nan(weight_data(n, 12 * n + 4));
+    std::vector<std::vector<double>> senders;
+    for (std::uint64_t s = 0; s < 10; ++s)
+      senders.push_back(no_nan(s % 2 ? weight_data(n, 13 * n + s)
+                                     : ugly_data(n, 14 * n + s)));
+    for (const std::size_t k : {0, 1, 2, 3, 5}) {
+      std::vector<const double*> sx, sw;
+      for (std::size_t s = 0; s < k; ++s) {
+        sx.push_back(senders[2 * s].data());
+        sw.push_back(senders[2 * s + 1].data());
+      }
+      for (const double keep : {0.5, 1.0}) {
+        for (const double h : {0.0, 0.5, 1.0}) {
+          std::vector<double> ref_x(n), ref_w(n);
+          scalar.scale_assign(ref_x.data(), x.data(), keep, n);
+          scalar.scale_assign(ref_w.data(), w.data(), keep, n);
+          for (std::size_t s = 0; s < k; ++s) {
+            scalar.accumulate_scaled(ref_x.data(), sx[s], 0.5, n);
+            scalar.accumulate_scaled(ref_w.data(), sw[s], 0.5, n);
+          }
+          const std::uint64_t ref_count =
+              h != 0.0 ? scalar.count_nonzero_pair(x.data(), w.data(), h, n) : 0;
+          for (const Kernels* kn : {&scalar, &vec}) {
+            std::vector<double> nx(n, -0.0), nw(n, -0.0);
+            const std::uint64_t count =
+                kn->gather_row(nx.data(), nw.data(), x.data(), w.data(), keep,
+                               sx.data(), sw.data(), k, h, n);
+            EXPECT_BITEQ_VEC(nx, ref_x);
+            EXPECT_BITEQ_VEC(nw, ref_w);
+            EXPECT_EQ(count, ref_count)
+                << level_name(kn->level) << " n=" << n << " k=" << k
+                << " keep=" << keep << " h=" << h;
+          }
+        }
+      }
+    }
+  }
+}
+
 TEST_P(SimdKernelSweep, UnalignedHeadsMatchScalar) {
   const Kernels& scalar = kernels(SimdLevel::kScalar);
   const Kernels& vec = kernels(GetParam());

@@ -96,15 +96,27 @@ Options parse(int argc, char** argv) {
     if (i + 1 >= argc) usage(argv[0], "missing argument value");
     return argv[i + 1];
   };
+  // Sizes are parsed wide so a negative value is rejected instead of
+  // wrapping to a huge size.
+  auto positive = [&](int i, const std::string& flag) {
+    const long long v = std::atoll(need(i));
+    if (v <= 0) usage(argv[0], flag + " must be > 0");
+    return static_cast<std::size_t>(v);
+  };
   for (int i = 1; i < argc; ++i) {
     const std::string a = argv[i];
     if (a == "--host") o.host = need(i++);
-    else if (a == "--port") o.port = static_cast<std::uint16_t>(std::atoi(need(i++)));
-    else if (a == "--n") o.n = static_cast<std::size_t>(std::atoll(need(i++)));
+    else if (a == "--port") {
+      // Parsed wide so 70000 is rejected instead of wrapping to 4464.
+      const long long port = std::atoll(need(i++));
+      if (port < 0 || port > 65535) usage(argv[0], "--port must be in [0, 65535]");
+      o.port = static_cast<std::uint16_t>(port);
+    }
+    else if (a == "--n") o.n = positive(i++, a);
     else if (a == "--zipf") o.zipf_s = std::atof(need(i++));
-    else if (a == "--batch") o.batch = static_cast<std::size_t>(std::atoll(need(i++)));
-    else if (a == "--pipeline") o.pipeline = static_cast<std::size_t>(std::atoll(need(i++)));
-    else if (a == "--connections") o.connections = static_cast<std::size_t>(std::atoll(need(i++)));
+    else if (a == "--batch") o.batch = positive(i++, a);
+    else if (a == "--pipeline") o.pipeline = positive(i++, a);
+    else if (a == "--connections") o.connections = positive(i++, a);
     else if (a == "--duration") o.duration = std::atof(need(i++));
     else if (a == "--ingest-fraction") o.ingest_fraction = std::atof(need(i++));
     else if (a == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(need(i++)));
@@ -118,8 +130,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--watch-interval") o.watch_interval = std::atof(need(i++));
     else usage(argv[0], "unknown flag: " + a);
   }
-  if (o.batch == 0 || o.pipeline == 0 || o.connections == 0 || o.n == 0)
-    usage(argv[0], "--batch/--pipeline/--connections/--n must be > 0");
   if (o.batch > gt::serve::kMaxBatch)
     usage(argv[0], "--batch exceeds protocol kMaxBatch (" +
                        std::to_string(gt::serve::kMaxBatch) + ")");

@@ -91,7 +91,12 @@ Options parse(int argc, char** argv) {
       if (port < 0 || port > 65535) usage(argv[0], "--port must be in [0, 65535]");
       o.port = static_cast<std::uint16_t>(port);
     }
-    else if (a == "--n") o.n = static_cast<std::size_t>(std::atoll(need(i++)));
+    else if (a == "--n") {
+      // Parsed wide so -5 is rejected instead of wrapping to 2^64 - 5.
+      const long long n = std::atoll(need(i++));
+      if (n < 2) usage(argv[0], "--n must be >= 2");
+      o.n = static_cast<std::size_t>(n);
+    }
     else if (a == "--seed") o.seed = static_cast<std::uint64_t>(std::atoll(need(i++)));
     else if (a == "--refold") {
       // 0 (or garbage, which reads as 0) would refold on every tick with
@@ -107,7 +112,6 @@ Options parse(int argc, char** argv) {
     else if (a == "--slow-frame-us") o.slow_frame_us = std::atof(need(i++));
     else usage(argv[0], ("unknown flag: " + a).c_str());
   }
-  if (o.n < 2) usage(argv[0], "--n must be >= 2");
   return o;
 }
 
