@@ -137,18 +137,6 @@ void BM_TransposeMultiply(benchmark::State& state) {
 }
 BENCHMARK(BM_TransposeMultiply)->Arg(1000)->Arg(4000);
 
-void BM_ScalarPushSumStep(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  std::vector<double> x(n, 1.0), w(n, 1.0);
-  gossip::ScalarPushSum ps(x, w, gossip::PushSumConfig{});
-  Rng rng(4);
-  gossip::PushSumResult res;
-  for (auto _ : state) ps.step(rng, nullptr, res);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_ScalarPushSumStep)->Arg(1000)->Arg(10000);
-
 void BM_VectorGossipStep(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto threads = static_cast<std::size_t>(state.range(1));

@@ -39,7 +39,6 @@ struct GossipTrustConfig {
   std::size_t max_gossip_steps = 10000;
   double loss_probability = 0.0;   ///< message loss injected into gossip
   bool neighbors_only = false;     ///< restrict gossip targets to overlay neighbors
-  bool keep_final_views = false;   ///< retain per-node views of the last cycle
   std::size_t num_threads = 1;     ///< gossip kernel lanes (0 = hardware concurrency)
   simd::SimdLevel simd_level = simd::SimdLevel::kAuto;
                                    ///< gossip kernel ISA (GT_SIMD env wins;
@@ -60,7 +59,7 @@ struct CycleStats {
   std::uint64_t zero_components_skipped = 0;  ///< structural zeros never gossiped
   double send_phase_seconds = 0.0;            ///< route/bucket/gather wall time
                                               ///< (stability check included)
-  double bookkeeping_phase_seconds = 0.0;     ///< O(n) support-count wall time
+  double bookkeeping_phase_seconds = 0.0;     ///< support-bitmap update wall time
   double readout_seconds = 0.0;               ///< consensus read-out wall time
   double change_from_previous = 0.0;  ///< mean relative error vs previous V
 };
@@ -78,10 +77,6 @@ struct AggregationResult {
   std::uint64_t total_messages() const noexcept;
   std::uint64_t total_triplets() const noexcept;
   double mean_gossip_steps_per_cycle() const noexcept;
-
-  /// Per-node final views (row i = node i's reputation vector); only
-  /// populated when config.keep_final_views was set.
-  std::vector<std::vector<double>> final_views;
 };
 
 /// GossipTrust reputation aggregation engine.
@@ -107,7 +102,6 @@ class GossipTrustEngine {
   CycleStats run_cycle(const trust::SparseMatrix& s, std::vector<double>& v,
                        std::vector<NodeId>& power, Rng& rng,
                        const graph::Graph* overlay = nullptr,
-                       std::vector<std::vector<double>>* views_out = nullptr,
                        const std::vector<std::uint8_t>* alive = nullptr);
 
   /// Full loop: cycles until mean relative change < delta (or max_cycles).
@@ -141,8 +135,8 @@ class GossipTrustEngine {
   std::size_t n_;
   GossipTrustConfig config_;
   // The gossip kernel and its worker lanes: built by the first cycle, then
-  // re-initialized by every cycle (4 n^2 doubles of state, allocated once
-  // per engine).
+  // re-initialized by every cycle (2 n^2 doubles of state plus one n x B
+  // slab pair per lane, allocated once per engine).
   std::optional<gossip::VectorGossip> gossip_;
   telemetry::EventLog* events_ = nullptr;
   std::size_t step_sample_every_ = 0;

@@ -85,9 +85,9 @@ std::size_t VectorGossip::derived_block_width(std::size_t n) {
   return std::min(std::max<std::size_t>(b, 16), n);
 }
 
-VectorGossip::VectorGossip(std::size_t n, PushSumConfig config, ThreadPool* pool,
+VectorGossip::VectorGossip(std::size_t n, PushSumConfig config,
                            std::size_t block_width)
-    : n_(n), config_(config), pool_(pool) {
+    : n_(n), config_(config) {
   if (n == 0) throw std::invalid_argument("VectorGossip: n must be positive");
   bw_ = block_width != 0 ? std::min(block_width, n) : derived_block_width(n);
   nblocks_ = (n + bw_ - 1) / bw_;
@@ -97,10 +97,8 @@ VectorGossip::VectorGossip(std::size_t n, PushSumConfig config, ThreadPool* pool
   kn_ = &simd::kernels(simd_level_);
   simd::assert_aligned(x_.data(), simd::kAlignment, "VectorGossip::x_");
   simd::assert_aligned(w_.data(), simd::kAlignment, "VectorGossip::w_");
-  if (pool_ == nullptr && config_.num_threads != 1) {
-    owned_pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-    pool_ = owned_pool_.get();
-  }
+  if (config_.num_threads != 1)
+    pool_ = std::make_unique<ThreadPool>(config_.num_threads);
   const std::size_t slabs = std::min(lanes(), nblocks_);
   slab_x_.assign(slabs, simd::aligned_vector<double>(n * bw_, 0.0));
   slab_w_.assign(slabs, simd::aligned_vector<double>(n * bw_, 0.0));

@@ -92,13 +92,12 @@ struct VectorGossipResult {
 /// Synchronous-round vector push-sum over n nodes and n components.
 class VectorGossip {
  public:
-  /// `pool` (optional, non-owning) supplies the worker lanes; when null and
-  /// config.num_threads != 1 the kernel owns a private pool. num_threads == 1
-  /// (the default) runs fully inline on the calling thread. `block_width`
-  /// overrides the derived column-block width (0 = derived); results are
-  /// bit-identical at every width, so it exists only for tests.
-  VectorGossip(std::size_t n, PushSumConfig config, ThreadPool* pool = nullptr,
-               std::size_t block_width = 0);
+  /// config.num_threads != 1 gives the kernel a private pool of that many
+  /// worker lanes; num_threads == 1 (the default) runs fully inline on the
+  /// calling thread. `block_width` overrides the derived column-block width
+  /// (0 = derived); results are bit-identical at every width, so it exists
+  /// only for tests.
+  VectorGossip(std::size_t n, PushSumConfig config, std::size_t block_width = 0);
   ~VectorGossip();
 
   /// Restricts the protocol to a subset of live peers (peer dynamics /
@@ -163,7 +162,7 @@ class VectorGossip {
   const PushSumConfig& config() const noexcept { return config_; }
 
   /// Resolved kernel ISA for this instance (config.simd_level after
-  /// GT_SIMD / CPU-capability resolution): kScalar, kAvx2, or kNeon.
+  /// GT_SIMD / CPU-capability resolution): kScalar, kAvx2, kAvx512 or kNeon.
   /// Informational only — every level computes bit-identical results.
   simd::SimdLevel simd_level() const noexcept { return simd_level_; }
 
@@ -258,8 +257,7 @@ class VectorGossip {
 
   std::size_t n_ = 0;
   PushSumConfig config_;
-  ThreadPool* pool_ = nullptr;  // may be null: serial
-  std::unique_ptr<ThreadPool> owned_pool_;
+  std::unique_ptr<ThreadPool> pool_;  // null: serial
   std::size_t bw_ = 0;       // block width B
   std::size_t nblocks_ = 0;  // ceil(n / B)
 

@@ -91,14 +91,12 @@ void ratio_accumulate_scalar(double* acc, std::uint32_t* cnt, const double* x,
     ratio_accumulate_one(acc + i, cnt + i, x[i], w[i], floor);
 }
 
-inline std::uint64_t nonzero_pair_one(double x, double w, double h) {
-  return (h * x != 0.0 || h * w != 0.0) ? 1u : 0u;
-}
-
-std::uint64_t count_nonzero_pair_scalar(const double* x, const double* w,
-                                        double h, std::size_t n) {
+/// gather_row's payload: how many i have h*x[i] != 0.0 or h*w[i] != 0.0.
+std::uint64_t payload_count_scalar(const double* x, const double* w, double h,
+                                   std::size_t n) {
   std::uint64_t count = 0;
-  for (std::size_t i = 0; i < n; ++i) count += nonzero_pair_one(x[i], w[i], h);
+  for (std::size_t i = 0; i < n; ++i)
+    count += (h * x[i] != 0.0 || h * w[i] != 0.0) ? 1u : 0u;
   return count;
 }
 
@@ -125,25 +123,7 @@ std::uint64_t gather_row_scalar(double* nx, double* nw, const double* x,
                                 const double* const* sw, std::size_t k,
                                 double h, std::size_t n) {
   gather_row_part(nx, nw, x, w, keep, sx, sw, k, 0, n);
-  return h != 0.0 ? count_nonzero_pair_scalar(x, w, h, n) : 0;
-}
-
-/// Pinned 4-lane strided reduction — the scalar *definition* of the lane
-/// order every vector variant must reproduce: lane l sums elements
-/// i == l (mod 4) over the aligned prefix, lanes merge (l0+l1)+(l2+l3),
-/// the remainder folds left-to-right on top.
-double sum_scalar(const double* v, std::size_t n) {
-  double l0 = 0.0, l1 = 0.0, l2 = 0.0, l3 = 0.0;
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    l0 += v[i];
-    l1 += v[i + 1];
-    l2 += v[i + 2];
-    l3 += v[i + 3];
-  }
-  double s = (l0 + l1) + (l2 + l3);
-  for (std::size_t i = n4; i < n; ++i) s += v[i];
-  return s;
+  return h != 0.0 ? payload_count_scalar(x, w, h, n) : 0;
 }
 
 const Kernels kScalarKernels = {
@@ -151,7 +131,6 @@ const Kernels kScalarKernels = {
     scale_assign_scalar,    accumulate_scaled_scalar,
     add_scalar,             row_stable_scalar,
     residual_keep_scalar,   ratio_accumulate_scalar,
-    count_nonzero_pair_scalar, sum_scalar,
     gather_row_scalar,
 };
 
@@ -308,39 +287,6 @@ GT_AVX2 void ratio_accumulate_avx2(double* acc, std::uint32_t* cnt,
   ratio_accumulate_scalar(acc + i, cnt + i, x + i, w + i, floor, n - i);
 }
 
-GT_AVX2 std::uint64_t count_nonzero_pair_avx2(const double* x, const double* w,
-                                              double h, std::size_t n) {
-  const __m256d hv = _mm256_set1_pd(h);
-  const __m256d zero = _mm256_setzero_pd();
-  std::uint64_t count = 0;
-  std::size_t i = 0;
-  for (; i + 4 <= n; i += 4) {
-    // NEQ_UQ: NaN != 0.0 -> true, matching the scalar `!=`.
-    const __m256d nzx = _mm256_cmp_pd(
-        _mm256_mul_pd(hv, _mm256_loadu_pd(x + i)), zero, _CMP_NEQ_UQ);
-    const __m256d nzw = _mm256_cmp_pd(
-        _mm256_mul_pd(hv, _mm256_loadu_pd(w + i)), zero, _CMP_NEQ_UQ);
-    count += static_cast<unsigned>(
-        __builtin_popcount(_mm256_movemask_pd(_mm256_or_pd(nzx, nzw))));
-  }
-  return count + count_nonzero_pair_scalar(x + i, w + i, h, n - i);
-}
-
-GT_AVX2 double sum_avx2(const double* v, std::size_t n) {
-  __m256d acc = _mm256_setzero_pd();
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4)
-    acc = _mm256_add_pd(acc, _mm256_loadu_pd(v + i));
-  // Merge in the pinned order (l0 + l1) + (l2 + l3).
-  const __m128d lo = _mm256_castpd256_pd128(acc);       // l0, l1
-  const __m128d hi = _mm256_extractf128_pd(acc, 1);     // l2, l3
-  const __m128d s01 = _mm_add_sd(lo, _mm_unpackhi_pd(lo, lo));
-  const __m128d s23 = _mm_add_sd(hi, _mm_unpackhi_pd(hi, hi));
-  double s = _mm_cvtsd_f64(_mm_add_sd(s01, s23));
-  for (std::size_t i = n4; i < n; ++i) s += v[i];
-  return s;
-}
-
 GT_AVX2 std::uint64_t gather_row_avx2(double* nx, double* nw, const double* x,
                                       const double* w, double keep,
                                       const double* const* sx,
@@ -365,6 +311,7 @@ GT_AVX2 std::uint64_t gather_row_avx2(double* nx, double* nw, const double* x,
     _mm256_storeu_pd(nx + i, vx);
     _mm256_storeu_pd(nw + i, vw);
     if (count_payload) {
+      // NEQ_UQ: NaN != 0.0 -> true, matching the scalar `!=`.
       const __m256d nz = _mm256_or_pd(
           _mm256_cmp_pd(_mm256_mul_pd(hv, xo), zero, _CMP_NEQ_UQ),
           _mm256_cmp_pd(_mm256_mul_pd(hv, wo), zero, _CMP_NEQ_UQ));
@@ -372,7 +319,7 @@ GT_AVX2 std::uint64_t gather_row_avx2(double* nx, double* nw, const double* x,
     }
   }
   gather_row_part(nx, nw, x, w, keep, sx, sw, k, i, n);
-  if (count_payload) count += count_nonzero_pair_scalar(x + i, w + i, h, n - i);
+  if (count_payload) count += payload_count_scalar(x + i, w + i, h, n - i);
   return count;
 }
 
@@ -381,17 +328,16 @@ const Kernels kAvx2Kernels = {
     scale_assign_avx2,      accumulate_scaled_avx2,
     add_avx2,               row_stable_avx2,
     residual_keep_avx2,     ratio_accumulate_avx2,
-    count_nonzero_pair_avx2, sum_avx2,
     gather_row_avx2,
 };
 
 // ---------------------------------------------------------------------------
 // AVX-512 kernels: 8 x f64 per register on the four streaming mul/add
 // sweeps — the store-bound hot loops where 512-bit width is pure win. The
-// predicate, ratio, and reduction kernels reuse the AVX2 forms above:
-// they are elementwise (or pinned-lane-order) so mixing widths inside one
-// dispatch table cannot change a single bit, and their scalar-divide /
-// movemask structure gains nothing from wider registers.
+// predicate and ratio kernels reuse the AVX2 forms above: they are
+// elementwise, so mixing widths inside one dispatch table cannot change a
+// single bit, and their scalar-divide / movemask structure gains nothing
+// from wider registers.
 // ---------------------------------------------------------------------------
 
 #define GT_AVX512 __attribute__((target("avx512f")))
@@ -492,7 +438,7 @@ GT_AVX512 std::uint64_t gather_row_avx512(double* nx, double* nw,
     }
   }
   gather_row_part(nx, nw, x, w, keep, sx, sw, k, i, n);
-  if (count_payload) count += count_nonzero_pair_scalar(x + i, w + i, h, n - i);
+  if (count_payload) count += payload_count_scalar(x + i, w + i, h, n - i);
   return count;
 }
 
@@ -501,14 +447,13 @@ const Kernels kAvx512Kernels = {
     scale_assign_avx512,    accumulate_scaled_avx512,
     add_avx512,             row_stable_avx2,
     residual_keep_avx2,     ratio_accumulate_avx2,
-    count_nonzero_pair_avx2, sum_avx2,
     gather_row_avx512,
 };
 
 #endif  // GT_SIMD_X86
 
 // ---------------------------------------------------------------------------
-// NEON kernels: 2 x f64 registers, paired to the same 4 logical lanes.
+// NEON kernels: 2 x f64 per register.
 // aarch64 mandates AdvSIMD, so no runtime gate beyond the architecture.
 // ---------------------------------------------------------------------------
 #ifdef GT_SIMD_NEON
@@ -635,38 +580,6 @@ void ratio_accumulate_neon(double* acc, std::uint32_t* cnt, const double* x,
   ratio_accumulate_scalar(acc + i, cnt + i, x + i, w + i, floor, n - i);
 }
 
-std::uint64_t count_nonzero_pair_neon(const double* x, const double* w,
-                                      double h, std::size_t n) {
-  const float64x2_t hv = vdupq_n_f64(h);
-  const float64x2_t zero = vdupq_n_f64(0.0);
-  std::uint64_t count = 0;
-  std::size_t i = 0;
-  for (; i + 2 <= n; i += 2) {
-    // (h*v != 0) == !(h*v == 0); vceqq is false on NaN, NOT gives true.
-    const uint64x2_t nzx = not_u64(vceqq_f64(vmulq_f64(hv, vld1q_f64(x + i)), zero));
-    const uint64x2_t nzw = not_u64(vceqq_f64(vmulq_f64(hv, vld1q_f64(w + i)), zero));
-    const uint64x2_t nz = vorrq_u64(nzx, nzw);
-    count += (vgetq_lane_u64(nz, 0) & 1) + (vgetq_lane_u64(nz, 1) & 1);
-  }
-  return count + count_nonzero_pair_scalar(x + i, w + i, h, n - i);
-}
-
-double sum_neon(const double* v, std::size_t n) {
-  // Two 2-wide registers emulate the pinned 4-lane decomposition: acc01
-  // holds lanes 0/1, acc23 lanes 2/3.
-  float64x2_t acc01 = vdupq_n_f64(0.0);
-  float64x2_t acc23 = vdupq_n_f64(0.0);
-  const std::size_t n4 = n & ~std::size_t{3};
-  for (std::size_t i = 0; i < n4; i += 4) {
-    acc01 = vaddq_f64(acc01, vld1q_f64(v + i));
-    acc23 = vaddq_f64(acc23, vld1q_f64(v + i + 2));
-  }
-  // vpaddd within a register is a single add: exactly (l0+l1), (l2+l3).
-  double s = vaddvq_f64(acc01) + vaddvq_f64(acc23);
-  for (std::size_t i = n4; i < n; ++i) s += v[i];
-  return s;
-}
-
 std::uint64_t gather_row_neon(double* nx, double* nw, const double* x,
                               const double* w, double keep,
                               const double* const* sx,
@@ -692,6 +605,7 @@ std::uint64_t gather_row_neon(double* nx, double* nw, const double* x,
     vst1q_f64(nx + i, vx);
     vst1q_f64(nw + i, vw);
     if (count_payload) {
+      // (h*v != 0) == !(h*v == 0); vceqq is false on NaN, NOT gives true.
       const uint64x2_t nz =
           vorrq_u64(not_u64(vceqq_f64(vmulq_f64(hv, xo), zero)),
                     not_u64(vceqq_f64(vmulq_f64(hv, wo), zero)));
@@ -699,7 +613,7 @@ std::uint64_t gather_row_neon(double* nx, double* nw, const double* x,
     }
   }
   gather_row_part(nx, nw, x, w, keep, sx, sw, k, i, n);
-  if (count_payload) count += count_nonzero_pair_scalar(x + i, w + i, h, n - i);
+  if (count_payload) count += payload_count_scalar(x + i, w + i, h, n - i);
   return count;
 }
 
@@ -708,7 +622,6 @@ const Kernels kNeonKernels = {
     scale_assign_neon,      accumulate_scaled_neon,
     add_neon,               row_stable_neon,
     residual_keep_neon,     ratio_accumulate_neon,
-    count_nonzero_pair_neon, sum_neon,
     gather_row_neon,
 };
 

@@ -1,15 +1,11 @@
 // Vectorized kernels for the hot gossip loops, dispatched by SimdLevel.
 //
-// Determinism contract: every kernel either
-//   (a) is *elementwise* — each output element is a pure function of the
-//       same-index input elements, computed with the exact IEEE-754
-//       operations of the scalar loop (no FMA contraction, no
-//       reassociation), so lane width cannot change a single bit; or
-//   (b) follows a *pinned lane decomposition* — `sum` splits the range
-//       into kLanes strided partial sums (lane l accumulates elements
-//       i == l mod 4 over the aligned prefix, combined as
-//       (l0 + l1) + (l2 + l3), then the scalar tail folds in order), and
-//       the scalar fallback replicates that exact order.
+// Determinism contract: every kernel is *elementwise* — each output
+// element is a pure function of the same-index input elements, computed
+// with the exact IEEE-754 operations of the scalar loop (no FMA
+// contraction, no reassociation), so lane width cannot change a single
+// bit. The only reductions are order-free: a stability verdict (an AND)
+// and a payload count (an integer sum).
 //
 // In consequence scalar, AVX2, AVX-512, and NEON results are bit-identical — the
 // BitIdentityGate goldens recorded on the scalar path stay valid at every
@@ -78,25 +74,16 @@ struct Kernels {
   void (*ratio_accumulate)(double* acc, std::uint32_t* cnt, const double* x,
                            const double* w, double floor, std::size_t n);
 
-  /// Payload accounting: number of i with h*x[i] != 0.0 || h*w[i] != 0.0
-  /// (NaN compares unequal to zero, matching the scalar `!=`).
-  std::uint64_t (*count_nonzero_pair)(const double* x, const double* w,
-                                      double h, std::size_t n);
-
-  /// Pinned-order reduction (contract (b) above): kLanes strided partial
-  /// sums over the aligned prefix, merged (l0+l1)+(l2+l3), scalar tail.
-  /// NOT a drop-in for a sequential left fold — callers adopt the lane
-  /// order explicitly (new call sites only; pinned by golden tests).
-  double (*sum)(const double* v, std::size_t n);
-
   /// VectorGossip's one dense gather, for one row of a column block:
   ///   nx[i] = keep * x[i], then nx[i] += 0.5 * sx[s][i] for s = 0..k-1
   /// in that order (mul then add, never fused) — exactly scale_assign
   /// followed by k accumulate_scaled calls — and likewise nw from w and
-  /// sw. It also returns the old row's payload, count_nonzero_pair(x, w,
-  /// h, n), or 0 without reading it when h == 0. The outputs must not
-  /// overlap any input. Gossip state is finite; where two NaN operands
-  /// meet, which payload survives is left open, as IEEE 754 leaves it.
+  /// sw. It also returns the old row's payload, the number of i with
+  /// h*x[i] != 0.0 || h*w[i] != 0.0 (NaN compares unequal to zero, as
+  /// with the scalar `!=`), or 0 without reading it when h == 0. The
+  /// outputs must not overlap any input. Gossip state is finite; where two
+  /// NaN operands meet, which payload survives is left open, as IEEE 754
+  /// leaves it.
   std::uint64_t (*gather_row)(double* nx, double* nw, const double* x,
                               const double* w, double keep,
                               const double* const* sx,

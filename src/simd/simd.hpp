@@ -15,11 +15,11 @@
 //      level the CPU does *not* support degrades to kScalar rather than
 //      faulting on an illegal instruction.
 //
-// Every kernel behind this dispatch is elementwise or follows a pinned
-// lane decomposition (see kernels.hpp), so the resolved level never
-// changes results — only speed. That is asserted, not assumed: the
-// BitIdentityGate goldens and the scalar-vs-SIMD EXPECT_EQ sweeps run the
-// same inputs at every supported level.
+// Every kernel behind this dispatch is elementwise (see kernels.hpp), so
+// the resolved level never changes results — only speed. That is
+// asserted, not assumed: the BitIdentityGate goldens and the
+// scalar-vs-SIMD EXPECT_EQ sweeps run the same inputs at every supported
+// level.
 #pragma once
 
 #include <cstddef>
@@ -64,12 +64,6 @@ SimdLevel detect_level() noexcept;
 /// first, then `configured`, kAuto -> detect_level(), unsupported concrete
 /// levels degrade to kScalar. Always returns a concrete supported level.
 SimdLevel resolve_level(SimdLevel configured);
-
-/// Logical lane count of the fixed-width layer: every reduction kernel
-/// decomposes into exactly 4 lanes regardless of the physical register
-/// width (AVX2 = one register, NEON = two), which is what keeps
-/// reduction orders identical across levels.
-inline constexpr std::size_t kLanes = 4;
 
 /// Alignment of the SoA state arrays: one cache line, a multiple of every
 /// vector width in play.

@@ -6,18 +6,19 @@
 
 namespace gt::trust {
 
-void FeedbackLedger::record(NodeId rater, NodeId ratee, double value) {
+bool FeedbackLedger::record(NodeId rater, NodeId ratee, double value) {
   if (rater >= n_ || ratee >= n_)
     throw std::out_of_range("FeedbackLedger::record: peer id out of range");
   // clamp passes NaN through, and a NaN total would drop the pair from the
   // matrix and absorb every later rating of it.
   if (std::isnan(value))
     throw std::invalid_argument("FeedbackLedger::record: rating is NaN");
-  if (rater == ratee) return;
+  if (rater == ratee) return false;
   value = std::clamp(value, 0.0, 1.0);
   auto [it, inserted] = outbound_[rater].try_emplace(ratee, 0.0);
   it->second += value;
   if (inserted) ++count_;
+  return true;
 }
 
 std::vector<Feedback> FeedbackLedger::ratings_of(NodeId rater) const {

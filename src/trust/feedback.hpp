@@ -33,8 +33,9 @@ class FeedbackLedger {
 
   /// Records one rating; clamps value into [0, 1] and throws
   /// std::invalid_argument on NaN. Self-ratings ignored — s_ii must stay 0
-  /// or a peer could vote for itself.
-  void record(NodeId rater, NodeId ratee, double value);
+  /// or a peer could vote for itself. Returns whether the rating was
+  /// recorded (false for a self-rating).
+  bool record(NodeId rater, NodeId ratee, double value);
 
   /// Raw accumulated score r_ij (0 when never rated).
   double raw_score(NodeId rater, NodeId ratee) const;

@@ -239,7 +239,7 @@ TEST(AttackGossip, EngineCyclesThreadCountInvariantUnderAttack) {
     std::vector<core::NodeId> power;
     Rng rng(62);
     for (int cycle = 0; cycle < 3; ++cycle)
-      engine.run_cycle(s, v, power, rng, nullptr, nullptr, &alive);
+      engine.run_cycle(s, v, power, rng, nullptr, &alive);
     return v;
   };
   const auto serial = run(1);

@@ -148,18 +148,6 @@ TEST(GossipTrustEngine, WarmStartConvergesFaster) {
   EXPECT_LE(warm.num_cycles(), cold.num_cycles());
 }
 
-TEST(GossipTrustEngine, KeepFinalViewsPopulates) {
-  const std::size_t n = 24;
-  const auto s = workload_matrix(n, 16);
-  auto cfg = test_config();
-  cfg.keep_final_views = true;
-  GossipTrustEngine engine(n, cfg);
-  Rng rng(17);
-  const auto res = engine.run(s, rng);
-  ASSERT_EQ(res.final_views.size(), n);
-  for (const auto& view : res.final_views) EXPECT_EQ(view.size(), n);
-}
-
 TEST(GossipTrustEngine, RunCycleDrivableExternally) {
   const std::size_t n = 30;
   const auto s = workload_matrix(n, 18);
@@ -286,12 +274,11 @@ TEST(GossipTrustEngine, ReusedKernelCarriesNothingBetweenCycles) {
       const Plan& p = plans[k];
       configure(reused, p, reused_sinks);
       const CycleStats a = reused.run_cycle(s, v_reused, power_reused,
-                                            rng_reused, nullptr, nullptr,
-                                            p.alive);
+                                            rng_reused, nullptr, p.alive);
       GossipTrustEngine fresh(n, cfg);
       configure(fresh, p, fresh_sinks);
       const CycleStats b = fresh.run_cycle(s, v_fresh, power_fresh, rng_fresh,
-                                           nullptr, nullptr, p.alive);
+                                           nullptr, p.alive);
       reused_stats.push_back(a);
 
       EXPECT_EQ(a.gossip_steps, b.gossip_steps);

@@ -99,7 +99,7 @@ Outcome run_width(const WidthScenario& sc, std::size_t n, std::size_t width,
   cfg.loss_probability = sc.loss;
   cfg.neighbors_only = sc.overlay;
   cfg.num_threads = threads;
-  gossip::VectorGossip vg(n, cfg, nullptr, width);
+  gossip::VectorGossip vg(n, cfg, width);
   if (width != 0) {
     EXPECT_EQ(vg.block_width(), std::min(width, n));
   }
@@ -234,7 +234,7 @@ TEST(VectorGossipBlocks, DerivedWidthFitsHalfOfL2) {
       EXPECT_EQ(b % 8, 0u) << n;
     }
   }
-  gossip::VectorGossip vg(67, gossip::PushSumConfig{}, nullptr, 1000);
+  gossip::VectorGossip vg(67, gossip::PushSumConfig{}, 1000);
   EXPECT_EQ(vg.block_width(), 67u);  // a forced width is capped at n
 }
 

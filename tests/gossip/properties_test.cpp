@@ -8,46 +8,12 @@
 #include <tuple>
 
 #include "common/stats.hpp"
-#include "gossip/pushsum.hpp"
 #include "gossip/vector_gossip.hpp"
 #include "trust/feedback.hpp"
 #include "trust/generator.hpp"
 
 namespace gt::gossip {
 namespace {
-
-using ScalarParam = std::tuple<std::size_t /*n*/, std::uint64_t /*seed*/>;
-
-class ScalarPushSumProperty : public ::testing::TestWithParam<ScalarParam> {};
-
-TEST_P(ScalarPushSumProperty, ConvergesToExactSumFromAnySeed) {
-  const auto [n, seed] = GetParam();
-  std::vector<double> x(n), w(n, 0.0);
-  Rng init(seed);
-  double target = 0.0;
-  for (auto& v : x) {
-    v = init.next_double();
-    target += v;
-  }
-  w[init.next_below(n)] = 1.0;
-
-  PushSumConfig cfg;
-  cfg.epsilon = 1e-8;
-  cfg.stable_rounds = 3;
-  ScalarPushSum ps(x, w, cfg);
-  Rng rng(seed ^ 0xabcdef);
-  const auto res = ps.run(rng);
-  ASSERT_TRUE(res.converged);
-  EXPECT_NEAR(ps.total_x(), target, 1e-10);
-  EXPECT_NEAR(ps.total_w(), 1.0, 1e-10);
-  for (NodeId i = 0; i < n; ++i) EXPECT_NEAR(ps.estimate(i), target, 1e-4);
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    SizesAndSeeds, ScalarPushSumProperty,
-    ::testing::Combine(::testing::Values(std::size_t{8}, std::size_t{33},
-                                         std::size_t{100}, std::size_t{257}),
-                       ::testing::Values(1ull, 7ull, 99ull, 4242ull)));
 
 using VectorParam = std::tuple<std::size_t /*n*/, std::uint64_t /*seed*/>;
 

@@ -6,6 +6,7 @@
 
 #include "common/powerlaw.hpp"
 #include "common/stats.hpp"
+#include "graph/topology.hpp"
 #include "trust/feedback.hpp"
 #include "trust/generator.hpp"
 
@@ -165,6 +166,73 @@ TEST(VectorGossip, LossyGossipStaysNearTarget) {
   const auto view = vg.node_view(0);
   // Relative ranking must survive; absolute values drift only slightly.
   EXPECT_LT(rms_relative_error(exact, view), 0.25);
+}
+
+TEST(VectorGossip, NeighborsOnlyGossipOnRing) {
+  // Pushes go only to overlay neighbors: a ring with 16 shortcuts still
+  // mixes every component to the exact product.
+  const std::size_t n = 32;
+  Rng trng(6);
+  const auto ring = graph::make_ring_with_shortcuts(n, 16, trng);
+  const auto s = make_matrix(n, 18);
+  std::vector<double> v(n, 1.0 / static_cast<double>(n));
+  const auto exact = s.transpose_multiply(v);
+  PushSumConfig cfg = tight();
+  cfg.neighbors_only = true;
+  VectorGossip vg(n, cfg);
+  vg.initialize(s, v);
+  Rng rng(6);
+  const auto res = vg.run(rng, &ring);
+  EXPECT_TRUE(res.converged);
+  EXPECT_EQ(res.messages_sent, res.steps * n);
+  for (NodeId i = 0; i < n; ++i)
+    EXPECT_LT(linf_distance(exact, vg.node_view(i)), 1e-5) << "node " << i;
+
+  // The overlay really restricts the targets: a sparse ring mixes more
+  // slowly than pushes to any node.
+  VectorGossip any(n, tight());
+  any.initialize(s, v);
+  Rng rng_any(6);
+  const auto res_any = any.run(rng_any);
+  EXPECT_GT(res.steps, res_any.steps);
+}
+
+TEST(VectorGossip, SingleNodeKeepsMassLocalAndConverges) {
+  // A lone node has nobody to push to: both halves stay local, no message
+  // is sent, and its (dangling, hence uniform) row reads back exactly.
+  trust::SparseMatrix::Builder b(1);
+  const auto s = std::move(b).build();
+  const std::vector<double> v{2.0};
+  const PushSumConfig cfg = tight();
+  VectorGossip vg(1, cfg);
+  vg.initialize(s, v);
+  Rng rng(11);
+  const auto res = vg.run(rng);
+  EXPECT_TRUE(res.converged);
+  // The first step after initialize() is unstable by definition.
+  EXPECT_EQ(res.steps, cfg.stable_rounds + 1);
+  EXPECT_EQ(res.messages_sent, 0u);
+  EXPECT_EQ(res.messages_lost, 0u);
+  EXPECT_DOUBLE_EQ(vg.estimate(0, 0), 2.0);
+  EXPECT_DOUBLE_EQ(vg.column_x_mass(0), 2.0);
+  EXPECT_DOUBLE_EQ(vg.column_w_mass(0), 1.0);
+}
+
+TEST(VectorGossip, MaxStepsCapRespected) {
+  PushSumConfig cfg;
+  cfg.epsilon = 0.0;  // unreachable threshold given FP noise
+  cfg.stable_rounds = 1000000;
+  cfg.max_steps = 25;
+  const std::size_t n = 8;
+  const auto s = make_matrix(n, 19);
+  std::vector<double> v(n, 1.0 / static_cast<double>(n));
+  VectorGossip vg(n, cfg);
+  vg.initialize(s, v);
+  Rng rng(10);
+  const auto res = vg.run(rng);
+  EXPECT_FALSE(res.converged);
+  EXPECT_EQ(res.steps, 25u);
+  EXPECT_EQ(res.messages_sent, 25u * n);
 }
 
 TEST(VectorGossip, EstimateUndefinedBeforeFirstStep) {

@@ -190,7 +190,7 @@ std::uint64_t scenario_hash(const GateScenario& sc, std::size_t threads,
     for (int c = 0; c < 4; ++c) {
       if (c == 2)
         for (std::size_t i = 1; i < n; i += 7) alive[i] = 0;
-      hash_cycle(h, engine.run_cycle(s, v, power, rng, &g, nullptr,
+      hash_cycle(h, engine.run_cycle(s, v, power, rng, &g,
                                      c == 3 ? nullptr : &alive));
     }
     for (const double x : v) h.f64(x);

@@ -6,7 +6,6 @@
 #include "baseline/power_iteration.hpp"
 #include "common/stats.hpp"
 #include "core/engine.hpp"
-#include "core/reputation_manager.hpp"
 #include "gossip/vector_gossip.hpp"
 #include "trust/feedback.hpp"
 
@@ -108,14 +107,6 @@ TEST(EdgeCases, ExtremeAlphaOne) {
   const auto res = engine.run(s, rng);
   ASSERT_EQ(res.power_nodes.size(), 1u);
   EXPECT_NEAR(res.scores[res.power_nodes[0]], 1.0, 1e-9);
-}
-
-TEST(EdgeCases, ManagerSurvivesRefreshWithNoFeedback) {
-  core::ReputationManagerConfig cfg;
-  core::ReputationManager manager(8, cfg, 6);
-  manager.refresh();  // empty ledger: uniform operator
-  EXPECT_EQ(manager.refresh_count(), 1u);
-  EXPECT_NEAR(sum(manager.scores()), 1.0, 1e-9);
 }
 
 TEST(EdgeCases, MeanRelativeErrorSkipsVanishedComponents) {

@@ -1,8 +1,7 @@
-// SIMD layer unit tests: runtime dispatch under GT_SIMD, the pinned
-// lane-reduction order, bitwise scalar-vs-vector kernel sweeps over edge
-// sizes (short tails, unaligned heads, NaN/inf/denormal payloads), the
-// row-stability predicate at its edges, and the aligned allocator
-// contract.
+// SIMD layer unit tests: runtime dispatch under GT_SIMD, bitwise
+// scalar-vs-vector kernel sweeps over edge sizes (short tails, unaligned
+// heads, NaN/inf/denormal payloads), the row-stability predicate at its
+// edges, and the aligned allocator contract.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -101,6 +100,16 @@ std::vector<double> weight_data(std::size_t n, std::uint64_t seed) {
 
 const std::size_t kEdgeSizes[] = {0, 1, 2, 3,  4,  5,  7,  8,  9, 15,
                                   16, 17, 31, 32, 33, 63, 64, 65, 100};
+
+/// gather_row's payload count by its definition: how many i have
+/// h*x[i] != 0.0 or h*w[i] != 0.0 (NaN compares unequal to zero).
+std::uint64_t expected_payload(const std::vector<double>& x,
+                               const std::vector<double>& w, double h) {
+  std::uint64_t count = 0;
+  for (std::size_t i = 0; i < x.size(); ++i)
+    count += (h * x[i] != 0.0 || h * w[i] != 0.0) ? 1u : 0u;
+  return count;
+}
 
 #define EXPECT_BITEQ_VEC(a, b)                                            \
   do {                                                                    \
@@ -214,39 +223,6 @@ TEST(SimdAlloc, PaddedSizeRoundsUpToKernelGranularity) {
   EXPECT_EQ(padded_size(kPadSlots + 1), 2 * kPadSlots);
   EXPECT_EQ(padded_size(1000), 1000u);  // already a multiple of 8
   EXPECT_EQ(padded_size(1001), 1008u);
-}
-
-// --- pinned lane-reduction order ------------------------------------------
-
-TEST(SimdLaneOrder, SumGoldenMatchesStridedDecomposition) {
-  // The contract is (l0+l1)+(l2+l3) over strided lanes plus an in-order
-  // tail — NOT a sequential left fold. Pin it against a hand-computed
-  // reference on data chosen so the orders differ.
-  const std::vector<double> v = {1e16, 1.0, -1e16, 1.0,  // cancels in l0/l2
-                                 1e16, 1.0, -1e16, 1.0, 3.0};
-  // lanes: l0 = 1e16 + 1e16 = 2e16; l1 = 2.0; l2 = -2e16; l3 = 2.0
-  // sum = (2e16 + 2.0) + (-2e16 + 2.0) + tail(3.0)
-  const double expect = (2e16 + 2.0) + (-2e16 + 2.0) + 3.0;
-  const double naive = 1e16 + 1.0 + -1e16 + 1.0 + 1e16 + 1.0 + -1e16 + 1.0 + 3.0;
-  ASSERT_NE(expect, naive);  // the orders genuinely disagree on this data
-  for (SimdLevel l : {SimdLevel::kScalar, detect_level()})
-    EXPECT_EQ(kernels(l).sum(v.data(), v.size()), expect) << level_name(l);
-}
-
-TEST(SimdLaneOrder, SumBitIdenticalAcrossLevelsOnUglyData) {
-  const Kernels& scalar = kernels(SimdLevel::kScalar);
-  for (const SimdLevel l : supported_vector_levels()) {
-    const Kernels& vec = kernels(l);
-    for (const std::size_t n : kEdgeSizes) {
-      auto v = ugly_data(n, n + 17);
-      for (auto& e : v)
-        if (std::isnan(e) || std::isinf(e)) e = 1.25;  // finite sums only
-      const double a = scalar.sum(v.data(), n);
-      const double b = vec.sum(v.data(), n);
-      EXPECT_EQ(std::memcmp(&a, &b, sizeof a), 0)
-          << level_name(l) << " n=" << n;
-    }
-  }
 }
 
 // --- bitwise scalar-vs-vector sweeps --------------------------------------
@@ -416,16 +392,22 @@ TEST_P(SimdKernelSweep, RatioAccumulateAndPayloadCountBitIdentical) {
     EXPECT_BITEQ_VEC(a1, a2);
     EXPECT_EQ(c1, c2);
 
+    // gather_row's payload count on rows holding NaN and infinities. Only
+    // the count is compared: which NaN payload a row carries is left open.
+    std::vector<double> nx(n), nw(n);
     for (const double h : {0.5, 1.0}) {
-      EXPECT_EQ(scalar.count_nonzero_pair(x.data(), w.data(), h, n),
-                vec.count_nonzero_pair(x.data(), w.data(), h, n))
-          << "h=" << h << " n=" << n;
+      for (const Kernels* kn : {&scalar, &vec}) {
+        EXPECT_EQ(kn->gather_row(nx.data(), nw.data(), x.data(), w.data(), 0.5,
+                                 nullptr, nullptr, 0, h, n),
+                  expected_payload(x, w, h))
+            << level_name(kn->level) << " h=" << h << " n=" << n;
+      }
     }
   }
 }
 
 // The fused gather is exactly scale_assign followed by one
-// accumulate_scaled per sender, plus count_nonzero_pair on the old row.
+// accumulate_scaled per sender, plus the payload count of the old row.
 // Inputs hold no NaN: the gossip state is always finite, and when two NaN
 // operands meet IEEE 754 leaves open which payload survives (compilers
 // commute the scalar add). Infinities still make NaNs mid-fold.
@@ -460,7 +442,7 @@ TEST_P(SimdKernelSweep, GatherRowMatchesComposedKernels) {
             scalar.accumulate_scaled(ref_w.data(), sw[s], 0.5, n);
           }
           const std::uint64_t ref_count =
-              h != 0.0 ? scalar.count_nonzero_pair(x.data(), w.data(), h, n) : 0;
+              h != 0.0 ? expected_payload(x, w, h) : 0;
           for (const Kernels* kn : {&scalar, &vec}) {
             std::vector<double> nx(n, -0.0), nw(n, -0.0);
             const std::uint64_t count =

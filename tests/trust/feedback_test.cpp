@@ -40,9 +40,10 @@ TEST(FeedbackLedger, NaNRatingThrowsAndKeepsTheEdge) {
 
 TEST(FeedbackLedger, IgnoresSelfRatings) {
   FeedbackLedger ledger(2);
-  ledger.record(1, 1, 1.0);
+  EXPECT_FALSE(ledger.record(1, 1, 1.0));
   EXPECT_DOUBLE_EQ(ledger.raw_score(1, 1), 0.0);
   EXPECT_EQ(ledger.num_feedbacks(), 0u);
+  EXPECT_TRUE(ledger.record(1, 0, 1.0));
 }
 
 TEST(FeedbackLedger, OutOfRangeThrows) {

@@ -261,7 +261,7 @@ CellResult run_cell(const Options& opt, const std::string& attack,
         state.any_liar() ? state.x_scale() : std::span<const double>{},
         state.any_withholder() ? state.withhold_mask()
                                : std::span<const std::uint8_t>{});
-    engine.run_cycle(s, v, power, engine_rng, nullptr, nullptr, &alive);
+    engine.run_cycle(s, v, power, engine_rng, nullptr, &alive);
   }
 
   // Ground truth: the honest counterfactual, anchored on the power nodes

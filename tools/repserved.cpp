@@ -6,8 +6,9 @@
 // serve::ReputationStore, and serves LOOKUP/BATCH_LOOKUP/INGEST/STATS/
 // METRICS/HEALTH over the epoll server. A fold loop then drains the ingest
 // queue into the feedback ledger and re-aggregates every --refold feedbacks
-// (warm-started from the previous vector), republishing the fresh scores
-// under a new epoch — the paper's "reputation updating" path, live.
+// the ledger records (warm-started from the previous vector), republishing
+// the fresh scores under a new epoch — the paper's "reputation updating"
+// path, live.
 //
 // Observability (PR 9): the JSONL EventLog opens at startup; every
 // --metrics-interval seconds the fold loop appends a `serve_metrics`
@@ -199,11 +200,13 @@ int main(int argc, char** argv) {
     if (opt.max_seconds > 0.0 && uptime_now() >= opt.max_seconds) break;
     store.drain_feedback(drained);
     for (const auto& f : drained) {
-      if (f.rater < opt.n && f.ratee < opt.n)
-        ledger.record(static_cast<gt::trust::NodeId>(f.rater),
-                      static_cast<gt::trust::NodeId>(f.ratee), f.value);
+      // Out-of-range ids and self-ratings leave the ledger as it was, so
+      // only the frames it records count toward the next refold.
+      if (f.rater < opt.n && f.ratee < opt.n &&
+          ledger.record(static_cast<gt::trust::NodeId>(f.rater),
+                        static_cast<gt::trust::NodeId>(f.ratee), f.value))
+        ++since_refold;
     }
-    since_refold += drained.size();
     folded += drained.size();
     if (since_refold >= opt.refold) {
       since_refold = 0;
