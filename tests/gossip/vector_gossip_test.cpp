@@ -33,6 +33,35 @@ PushSumConfig tight() {
   return cfg;
 }
 
+TEST(VectorGossip, PaperThreeNodeExample) {
+  // Fig. 2 / Table 1: v = (1/2, 1/3, 1/6), s_12 = 0.2, s_22 = 0, s_32 = 0.6
+  // (component 1 here). Its weighted scores start at x = (0.1, 0, 0.1) and
+  // w = (0, 1, 0): only N2 holds a ratio, N1 and N3 read "infinity"
+  // (undefined). Every node's ratio must converge to v_2(t+1) = 0.2.
+  trust::SparseMatrix::Builder b(3);
+  b.add(0, 1, 0.2);
+  b.add(0, 0, 0.8);
+  b.add(1, 0, 1.0);
+  b.add(2, 1, 0.6);
+  b.add(2, 0, 0.4);
+  const auto s = std::move(b).build();
+  const std::vector<double> v{0.5, 1.0 / 3.0, 1.0 / 6.0};
+  PushSumConfig cfg;
+  cfg.epsilon = 1e-9;
+  cfg.stable_rounds = 3;
+  cfg.max_steps = 10000;
+  VectorGossip vg(3, cfg);
+  vg.initialize(s, v);
+  EXPECT_TRUE(std::isnan(vg.estimate(0, 1)));
+  EXPECT_EQ(vg.estimate(1, 1), 0.0);
+  EXPECT_TRUE(std::isnan(vg.estimate(2, 1)));
+  EXPECT_NEAR(vg.column_x_mass(1), 0.2, 1e-15);
+  EXPECT_EQ(vg.column_w_mass(1), 1.0);
+  Rng rng(42);
+  EXPECT_TRUE(vg.run(rng).converged);
+  for (std::size_t i = 0; i < 3; ++i) EXPECT_NEAR(vg.estimate(i, 1), 0.2, 1e-6) << i;
+}
+
 TEST(VectorGossip, MatchesExactTransposeProduct) {
   const std::size_t n = 48;
   const auto s = make_matrix(n, 1);
