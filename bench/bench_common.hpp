@@ -5,7 +5,8 @@
 //   GT_QUICK=1        -> shrink sweeps (CI smoke run)
 //   GT_SEEDS=k        -> simulation runs averaged per data point (default 10/3)
 //   GT_SEED=s         -> base seed
-//   GT_THREADS=t      -> gossip kernel lanes (default 1; 0 = hardware)
+//   GT_THREADS=t      -> gossip kernel lanes (default 1; 0 = one per CPU
+//                        in the affinity mask)
 //   GT_TELEMETRY=path -> write a JSONL event log next to the table output
 //                        (equivalent: --telemetry <path> on the command line;
 //                        fold it into tables with scripts/report.py)
@@ -82,7 +83,8 @@ struct ThreatWorkload {
 };
 
 /// Gossip kernel lanes for engine-driven benches (GT_THREADS, default 1 so
-/// published numbers stay single-thread comparable; 0 = hardware).
+/// published numbers stay single-thread comparable; 0 = one per CPU in the
+/// affinity mask).
 inline std::size_t gossip_threads() { return env_size("GT_THREADS", 1); }
 
 namespace detail {

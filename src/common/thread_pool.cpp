@@ -1,12 +1,22 @@
 #include "common/thread_pool.hpp"
 
+#include <sched.h>
+
 namespace gt {
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
-  if (num_threads == 0) {
-    const unsigned hw = std::thread::hardware_concurrency();
-    num_threads = hw ? hw : 1;
+std::size_t available_cpus() noexcept {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  if (::sched_getaffinity(0, sizeof(set), &set) == 0) {
+    const int count = CPU_COUNT(&set);
+    if (count > 0) return static_cast<std::size_t>(count);
   }
+  const unsigned hw = std::thread::hardware_concurrency();
+  return hw ? hw : 1;
+}
+
+ThreadPool::ThreadPool(std::size_t num_threads) {
+  if (num_threads == 0) num_threads = available_cpus();
   workers_.reserve(num_threads - 1);
   for (std::size_t t = 0; t + 1 < num_threads; ++t)
     workers_.emplace_back([this] { worker_loop(); });

@@ -13,6 +13,9 @@
 // The calling thread participates as a worker, so ThreadPool(1) spawns no
 // threads and parallel_for degenerates to an inline serial loop over the
 // same chunk grid.
+//
+// ThreadPool(0) takes one lane per CPU the calling thread may run on
+// (available_cpus()), so `taskset` and cpusets size the pool.
 #pragma once
 
 #include <algorithm>
@@ -28,13 +31,18 @@
 
 namespace gt {
 
+/// CPUs in the calling thread's affinity mask (sched_getaffinity), or
+/// std::thread::hardware_concurrency() where the mask cannot be read;
+/// at least 1. The lane count every `0 = one lane per CPU` setting means.
+std::size_t available_cpus() noexcept;
+
 class ThreadPool {
  public:
   /// fn(chunk_begin, chunk_end, chunk_index) — must not throw.
   using ChunkFn = std::function<void(std::size_t, std::size_t, std::size_t)>;
 
   /// num_threads = total execution lanes including the caller; 0 = one lane
-  /// per hardware thread.
+  /// per CPU in the calling thread's affinity mask (available_cpus()).
   explicit ThreadPool(std::size_t num_threads = 0);
   ~ThreadPool();
 

@@ -95,7 +95,7 @@ CycleStats GossipTrustEngine::run_cycle(const trust::SparseMatrix& s,
     ps.neighbors_only = config_.neighbors_only;
     ps.num_threads = config_.num_threads;
     ps.simd_level = config_.simd_level;
-    gossip_.emplace(n_, ps);  // owns its worker lanes when num_threads != 1
+    gossip_.emplace(n_, ps);  // owns its worker lanes when it runs more than one
   }
   gossip::VectorGossip& gossip = *gossip_;
   gossip.set_participants(alive != nullptr ? *alive

@@ -39,7 +39,9 @@ struct GossipTrustConfig {
   std::size_t max_gossip_steps = 10000;
   double loss_probability = 0.0;   ///< message loss injected into gossip
   bool neighbors_only = false;     ///< restrict gossip targets to overlay neighbors
-  std::size_t num_threads = 1;     ///< gossip kernel lanes (0 = hardware concurrency)
+  std::size_t num_threads = 1;     ///< gossip kernel lanes (0 = one per CPU in
+                                   ///< the affinity mask; capped at the
+                                   ///< kernel's column blocks)
   simd::SimdLevel simd_level = simd::SimdLevel::kAuto;
                                    ///< gossip kernel ISA (GT_SIMD env wins;
                                    ///< bit-identical at every level)
@@ -86,6 +88,10 @@ class GossipTrustEngine {
 
   std::size_t num_nodes() const noexcept { return n_; }
   const GossipTrustConfig& config() const noexcept { return config_; }
+
+  /// Lanes of the gossip kernel (VectorGossip::lanes()); 0 until the first
+  /// cycle builds it.
+  std::size_t gossip_lanes() const noexcept { return gossip_ ? gossip_->lanes() : 0; }
 
   /// Uniform initial vector v_i(0) = 1/n.
   std::vector<double> initial_scores() const;

@@ -37,7 +37,9 @@ struct PushSumConfig {
   std::size_t max_steps = 100000;   ///< hard safety cap
   double loss_probability = 0.0;    ///< i.i.d. message loss (failure injection)
   bool neighbors_only = false;      ///< push to overlay neighbors instead of any node
-  std::size_t num_threads = 1;      ///< vector-gossip kernel lanes (0 = hardware)
+  std::size_t num_threads = 1;      ///< vector-gossip kernel lanes (0 = one per
+                                    ///< CPU in the affinity mask; capped at
+                                    ///< the kernel's column blocks)
   bool batch_wire = true;           ///< async: coalesce a push's active triplets
                                     ///< into one wire message per destination
                                     ///< (false = one message per triplet; same

@@ -5,7 +5,6 @@
 #include <cstring>
 #include <limits>
 #include <stdexcept>
-#include <thread>
 
 #include "common/rng.hpp"
 #include "common/thread_pool.hpp"
@@ -116,9 +115,7 @@ ShardedGossip::ShardedGossip(const graph::CsrView& csr,
         "conservative lookahead bound");
   simd_level_ = simd::resolve_level(cfg_.simd_level);
   kn_ = &simd::kernels(simd_level_);
-  threads_ = cfg_.threads != 0
-                 ? cfg_.threads
-                 : std::max<std::size_t>(1, std::thread::hardware_concurrency());
+  threads_ = cfg_.threads != 0 ? cfg_.threads : available_cpus();
   shards_count_ = cfg_.shards != 0 ? cfg_.shards : threads_;
   shards_.reserve(shards_count_);
   for (std::size_t s = 0; s < shards_count_; ++s) {

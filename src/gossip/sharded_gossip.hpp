@@ -62,7 +62,8 @@ struct ShardedGossipConfig {
   double horizon = 200.0;       ///< hard stop (sim time)
   std::uint64_t seed = 1;       ///< base of every per-node stream
   std::size_t shards = 0;       ///< event-queue shards (0 = one per thread)
-  std::size_t threads = 1;      ///< ThreadPool lanes (0 = hardware)
+  std::size_t threads = 1;      ///< ThreadPool lanes (0 = one per CPU
+                                ///< in the affinity mask)
   std::size_t sample_every = 0; ///< windows between error-curve samples
                                 ///< (0 = no sampling)
   simd::SimdLevel simd_level = simd::SimdLevel::kAuto;

@@ -1,5 +1,6 @@
 #include "gossip/vector_gossip.hpp"
 
+#include <sched.h>
 #include <unistd.h>
 
 #include <algorithm>
@@ -20,6 +21,10 @@ namespace {
 // schedule's sliding window. A cycle at n = 512 takes ~35 steps, so one
 // round usually covers it.
 constexpr std::size_t kWindow = 64;
+
+// Row chunks of the consensus_means read-out: a fixed grid, so its merge
+// order depends on (n, kReduceChunks) only.
+constexpr std::size_t kReduceChunks = 32;
 
 // A node's route on one step.
 constexpr std::uint8_t kIdle = 0;       // no push: keeps everything
@@ -97,12 +102,16 @@ VectorGossip::VectorGossip(std::size_t n, PushSumConfig config,
   kn_ = &simd::kernels(simd_level_);
   simd::assert_aligned(x_.data(), simd::kAlignment, "VectorGossip::x_");
   simd::assert_aligned(w_.data(), simd::kAlignment, "VectorGossip::w_");
-  if (config_.num_threads != 1)
-    pool_ = std::make_unique<ThreadPool>(config_.num_threads);
-  const std::size_t slabs = std::min(lanes(), nblocks_);
-  slab_x_.assign(slabs, simd::aligned_vector<double>(n * bw_, 0.0));
-  slab_w_.assign(slabs, simd::aligned_vector<double>(n * bw_, 0.0));
-  sender_ptrs_.assign(slabs, std::vector<const double*>(2 * n, nullptr));
+  // Lanes own whole blocks, so a lane past the block count would only idle.
+  const std::size_t lanes = std::min(
+      config_.num_threads != 0 ? config_.num_threads : available_cpus(), nblocks_);
+  if (lanes > 1) pool_ = std::make_unique<ThreadPool>(lanes);
+  slab_x_.assign(lanes, simd::aligned_vector<double>(n * bw_, 0.0));
+  slab_w_.assign(lanes, simd::aligned_vector<double>(n * bw_, 0.0));
+  sender_ptrs_.assign(lanes, std::vector<const double*>(2 * n, nullptr));
+  const std::size_t readout_chunks = std::min(n, kReduceChunks);
+  readout_sum_.assign(readout_chunks * n, 0.0);
+  readout_count_.assign(readout_chunks * n, 0);
   words_ = (n + 63) / 64;
   support_.assign(n * words_, 0);
   next_support_.assign(n * words_, 0);
@@ -143,7 +152,7 @@ void VectorGossip::for_chunks(std::size_t count, std::size_t num_chunks,
                               const ThreadPool::ChunkFn& fn) const {
   if (count == 0 || num_chunks == 0) return;
   if (num_chunks > count) num_chunks = count;
-  if (pool_ != nullptr && pool_->num_threads() > 1 && num_chunks > 1) {
+  if (pool_ != nullptr && num_chunks > 1) {
     pool_->parallel_for(0, count, num_chunks, fn);
   } else {
     ThreadPool::run_serial(0, count, num_chunks, fn);
@@ -474,6 +483,8 @@ std::size_t VectorGossip::run_block(std::size_t b, std::size_t lane,
     std::swap(cx, nx);
     std::swap(cw, nw);
     sc.block_seconds[(t % kWindow) * nblocks_ + b] += seconds_since(t0);
+    // A thread sharing this lane's CPU runs now, not after the slice.
+    if (pool_ != nullptr) ::sched_yield();
   }
   // Pausing: the state goes home for the next round or the read-out.
   if (cx != home_x) {
@@ -490,7 +501,7 @@ std::size_t VectorGossip::advance(const graph::Graph* overlay,
   Schedule& sc = *sched_;
   const std::size_t from = frontier_;
   const std::size_t to = from + std::min(horizon, kWindow);
-  const std::size_t chunks = std::min(lanes(), nblocks_);
+  const std::size_t chunks = lanes();
   for_chunks(nblocks_, chunks, [&](std::size_t b0, std::size_t b1, std::size_t lane) {
     for (std::size_t b = b0; b < b1; ++b)
       sc.reached[b] = run_block(b, lane, from, to, until_stable, overlay);
@@ -696,19 +707,17 @@ std::vector<double> VectorGossip::node_view(NodeId i) const {
   return view;
 }
 
-std::vector<double> VectorGossip::consensus_means() const {
+std::vector<double> VectorGossip::consensus_means() {
   // Fixed chunk grid over rows: the reduction's merge order depends on
-  // (n, kChunks) only, so the read-out is bit-identical for any thread
-  // count and block width.
-  constexpr std::size_t kReduceChunks = 32;
+  // (n, kReduceChunks) only, so the read-out is bit-identical for any
+  // thread count and block width. Chunk c accumulates into row c of the
+  // scratch; every chunk runs, since there are at most n of them.
   const std::size_t chunks = std::min(n_, kReduceChunks);
-  std::vector<std::vector<double>> acc(chunks);
-  std::vector<std::vector<std::uint32_t>> cnt(chunks);
   for_chunks(n_, chunks, [&](std::size_t b, std::size_t e, std::size_t c) {
-    auto& a = acc[c];
-    auto& k = cnt[c];
-    a.assign(n_, 0.0);
-    k.assign(n_, 0);
+    double* a = readout_sum_.data() + c * n_;
+    std::uint32_t* k = readout_count_.data() + c * n_;
+    std::fill_n(a, n_, 0.0);
+    std::fill_n(k, n_, 0);
     for (std::size_t blk = 0; blk < nblocks_; ++blk) {
       const std::size_t c0 = block_begin(blk);
       const std::size_t cols = block_cols(blk);
@@ -718,19 +727,19 @@ std::vector<double> VectorGossip::consensus_means() const {
         if (!is_alive(i)) continue;
         // Rows are exactly 0 outside their support, which the masked
         // kernel skips like any undefined weight.
-        kn_->ratio_accumulate(a.data() + c0, k.data() + c0, bx + i * cols,
-                              bw + i * cols, kWeightFloor, cols);
+        kn_->ratio_accumulate(a + c0, k + c0, bx + i * cols, bw + i * cols,
+                              kWeightFloor, cols);
       }
     }
   });
   std::vector<double> mean(n_, 0.0);
   std::vector<std::uint32_t> total(n_, 0);
   for (std::size_t c = 0; c < chunks; ++c) {
-    if (acc[c].empty()) continue;  // chunk never ran (count < chunks)
     // Chunk merge order stays c-ascending; within a chunk the add is
-    // elementwise, so the fixed (n, kChunks) grid still pins every sum.
-    kn_->add(mean.data(), acc[c].data(), n_);
-    for (NodeId j = 0; j < n_; ++j) total[j] += cnt[c][j];
+    // elementwise, so the fixed (n, kReduceChunks) grid still pins every sum.
+    kn_->add(mean.data(), readout_sum_.data() + c * n_, n_);
+    const std::uint32_t* k = readout_count_.data() + c * n_;
+    for (NodeId j = 0; j < n_; ++j) total[j] += k[j];
   }
   for (NodeId j = 0; j < n_; ++j)
     mean[j] = total[j] ? mean[j] / static_cast<double>(total[j]) : 0.0;

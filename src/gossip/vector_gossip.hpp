@@ -47,11 +47,15 @@
 // goes on. No step runs twice or past the stop, and the stored schedule is
 // a sliding window of steps.
 //
-// Lanes of a gt::ThreadPool own whole blocks. Every floating-point
-// accumulation order is fixed by node ids and never by scheduling, and
-// counters, trace records and event-log records are assembled per step in
-// step order, so results are bit-identical for any thread count, including
-// the serial num_threads == 1 path.
+// Lanes of a gt::ThreadPool own whole blocks, so the kernel runs at most
+// one lane per block. Every floating-point accumulation order is fixed by
+// node ids and never by scheduling, and counters, trace records and
+// event-log records are assembled per step in step order, so results are
+// bit-identical for any thread count, including the serial
+// num_threads == 1 path. With more than one lane, each lane yields its CPU
+// after every block step (~50 us at n = 512), so a thread that shares the
+// CPU with a lane (a server's event loop, say) waits at most one block
+// step rather than the rest of the lane's scheduler slice.
 #pragma once
 
 #include <algorithm>
@@ -92,9 +96,10 @@ struct VectorGossipResult {
 /// Synchronous-round vector push-sum over n nodes and n components.
 class VectorGossip {
  public:
-  /// config.num_threads != 1 gives the kernel a private pool of that many
-  /// worker lanes; num_threads == 1 (the default) runs fully inline on the
-  /// calling thread. `block_width` overrides the derived column-block width
+  /// The kernel runs config.num_threads lanes (0 = available_cpus()),
+  /// capped at the number of column blocks; more than one lane gives it a
+  /// private pool, one lane (the default) runs fully inline on the calling
+  /// thread. `block_width` overrides the derived column-block width
   /// (0 = derived); results are bit-identical at every width, so it exists
   /// only for tests.
   VectorGossip(std::size_t n, PushSumConfig config, std::size_t block_width = 0);
@@ -129,6 +134,10 @@ class VectorGossip {
 
   std::size_t num_nodes() const noexcept { return n_; }
 
+  /// Execution lanes in use: the resolved num_threads, at most one per
+  /// column block.
+  std::size_t lanes() const noexcept { return pool_ ? pool_->num_threads() : 1; }
+
   /// Column-block width in use (the last block may be narrower).
   std::size_t block_width() const noexcept { return bw_; }
 
@@ -149,8 +158,8 @@ class VectorGossip {
   /// per-node estimates (0 when nobody holds evidence about j — including
   /// every component owned by a departed peer). Runs across the pool on a
   /// fixed chunk grid of rows, so the result is bit-identical for any
-  /// thread count.
-  std::vector<double> consensus_means() const;
+  /// thread count. Accumulates in the kernel's read-out scratch.
+  std::vector<double> consensus_means();
 
   /// Mass-conservation invariants (property tests): column sums of X and W.
   double column_x_mass(NodeId j) const;
@@ -219,7 +228,6 @@ class VectorGossip {
   bool adv_withholds(NodeId v) const {
     return !adv_withhold_.empty() && adv_withhold_[v] != 0;
   }
-  std::size_t lanes() const noexcept { return pool_ ? pool_->num_threads() : 1; }
   void for_chunks(std::size_t count, std::size_t num_chunks,
                   const ThreadPool::ChunkFn& fn) const;
   void seed_streams(std::uint64_t base);
@@ -257,7 +265,7 @@ class VectorGossip {
 
   std::size_t n_ = 0;
   PushSumConfig config_;
-  std::unique_ptr<ThreadPool> pool_;  // null: serial
+  std::unique_ptr<ThreadPool> pool_;  // null: one lane, serial
   std::size_t bw_ = 0;       // block width B
   std::size_t nblocks_ = 0;  // ceil(n / B)
 
@@ -274,6 +282,11 @@ class VectorGossip {
   simd::aligned_vector<double> w_;
   std::vector<simd::aligned_vector<double>> slab_x_, slab_w_;
   std::vector<std::vector<const double*>> sender_ptrs_;  // per lane, 2n
+
+  // consensus_means scratch: one n-wide sum and count row per chunk of its
+  // fixed row grid, allocated once so lanes never allocate.
+  std::vector<double> readout_sum_;
+  std::vector<std::uint32_t> readout_count_;
 
   simd::SimdLevel simd_level_ = simd::SimdLevel::kScalar;  // resolved
   const simd::Kernels* kn_ = nullptr;  // kernel set for simd_level_

@@ -16,6 +16,37 @@ std::uint64_t monotonic_ns() noexcept {
           .count());
 }
 
+void HealthState::note_start() {
+  const std::lock_guard<std::mutex> lock(mu_);
+  start_ns_ = monotonic_ns();
+  fold_.flags |= kHealthFlagFoldLoop;
+}
+
+void HealthState::note_publish(std::uint64_t folded_through, bool converged,
+                               bool degraded, double mass_gap,
+                               double fold_seconds) {
+  const std::uint64_t now = monotonic_ns();
+  const std::lock_guard<std::mutex> lock(mu_);
+  fold_.folded_through = folded_through;
+  ++fold_.refolds;
+  fold_.flags = (fold_.flags & kHealthFlagFoldLoop) |
+                (converged ? kHealthFlagConverged : 0u) |
+                (degraded ? kHealthFlagDegraded : 0u);
+  fold_.mass_gap = mass_gap;
+  fold_.fold_seconds = fold_seconds;
+  fold_.publish_ns = now;
+}
+
+std::uint64_t HealthState::start_ns() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return start_ns_;
+}
+
+HealthState::Fold HealthState::last_fold() const {
+  const std::lock_guard<std::mutex> lock(mu_);
+  return fold_;
+}
+
 namespace {
 
 MetricsHistogram to_wire(const telemetry::HistogramSnapshot& hs) {
@@ -89,13 +120,15 @@ HealthPayload collect_health(const ReputationStore& store,
     h.staleness_frames = h.ingest_backlog;
     return h;
   }
-  h.flags = health->flags();
-  const std::uint64_t folded = health->folded_through();
-  h.staleness_frames =
-      h.ingest_enqueued > folded ? h.ingest_enqueued - folded : 0;
+  const HealthState::Fold fold = health->last_fold();
+  h.flags = fold.flags;
+  h.staleness_frames = h.ingest_enqueued > fold.folded_through
+                           ? h.ingest_enqueued - fold.folded_through
+                           : 0;
   const std::uint64_t now = monotonic_ns();
-  const std::uint64_t last_pub = health->last_publish_ns();
-  const std::uint64_t since = health->start_ns() != 0 ? health->start_ns() : now;
+  const std::uint64_t last_pub = fold.publish_ns;
+  const std::uint64_t start = health->start_ns();
+  const std::uint64_t since = start != 0 ? start : now;
   if (h.staleness_frames > 0) {
     // Lag clock starts at the last publish (or process start before the
     // first publish ever lands).
@@ -103,9 +136,9 @@ HealthPayload collect_health(const ReputationStore& store,
     h.staleness_seconds =
         now > base ? static_cast<double>(now - base) * 1e-9 : 0.0;
   }
-  h.refolds = health->refolds();
-  h.mass_gap = health->mass_gap();
-  h.last_fold_seconds = health->last_fold_seconds();
+  h.refolds = fold.refolds;
+  h.mass_gap = fold.mass_gap;
+  h.last_fold_seconds = fold.fold_seconds;
   h.uptime_seconds =
       now > since ? static_cast<double>(now - since) * 1e-9 : 0.0;
   return h;

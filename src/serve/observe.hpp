@@ -2,11 +2,12 @@
 // metric lanes into something an operator can read at runtime.
 //
 // Three pieces live here:
-//   * HealthState — a lock-free mailbox the repserved fold loop writes
-//     after every republish (folded-through frame count, convergence
-//     flags, mass-ledger gap, fold cost) and the METRICS/HEALTH opcodes
-//     read from any server loop thread. All fields are relaxed atomics:
-//     health is advisory telemetry, never a synchronization edge.
+//   * HealthState — a mailbox the repserved fold loop writes after every
+//     republish (folded-through frame count, convergence flags, mass-ledger
+//     gap, fold cost) and the METRICS/HEALTH opcodes read from any server
+//     loop thread. A fold's fields are written and read as one unit under
+//     a mutex, so one HEALTH reply never mixes two folds; HEALTH is not a
+//     hot path.
 //   * ServeObservability — the per-process bundle handed to every
 //     ConnectionHandler: the JSONL EventLog (slow-frame records), the
 //     slow-frame threshold, and the HealthState. All pointers optional;
@@ -27,8 +28,8 @@
 // kHealthFlagFoldLoop bit clear.
 #pragma once
 
-#include <atomic>
 #include <cstdint>
+#include <mutex>
 
 #include "serve/protocol.hpp"
 
@@ -48,64 +49,36 @@ std::uint64_t monotonic_ns() noexcept;
 
 /// Fold-loop → serve-loop mailbox. Single conceptual writer (the fold
 /// loop); any number of readers (server loops answering HEALTH, the
-/// periodic exporter). Relaxed atomics throughout: a torn *set* of fields
-/// across publishes is acceptable, torn individual fields are not.
+/// periodic exporter).
 class HealthState {
  public:
+  /// What the latest republish recorded, as one unit.
+  struct Fold {
+    std::uint64_t folded_through = 0;
+    std::uint64_t refolds = 0;
+    std::uint32_t flags = 0;
+    double mass_gap = 0.0;
+    double fold_seconds = 0.0;
+    std::uint64_t publish_ns = 0;  ///< monotonic_ns() at the publish; 0 = none
+  };
+
   /// Stamps the process start time (uptime epoch) and marks the fold loop
   /// live. Call once before serving.
-  void note_start() noexcept {
-    start_ns_.store(monotonic_ns(), std::memory_order_relaxed);
-    flags_.fetch_or(kHealthFlagFoldLoop, std::memory_order_relaxed);
-  }
+  void note_start();
 
   /// Records one republish: `folded_through` is the feedback_enqueued()
   /// value captured before the re-aggregation ran, so every frame at or
   /// below it is reflected in the now-published scores.
   void note_publish(std::uint64_t folded_through, bool converged,
-                    bool degraded, double mass_gap,
-                    double fold_seconds) noexcept {
-    folded_through_.store(folded_through, std::memory_order_relaxed);
-    refolds_.fetch_add(1, std::memory_order_relaxed);
-    mass_gap_.store(mass_gap, std::memory_order_relaxed);
-    last_fold_seconds_.store(fold_seconds, std::memory_order_relaxed);
-    std::uint32_t f = flags_.load(std::memory_order_relaxed) & kHealthFlagFoldLoop;
-    if (converged) f |= kHealthFlagConverged;
-    if (degraded) f |= kHealthFlagDegraded;
-    flags_.store(f, std::memory_order_relaxed);
-    last_publish_ns_.store(monotonic_ns(), std::memory_order_relaxed);
-  }
+                    bool degraded, double mass_gap, double fold_seconds);
 
-  std::uint64_t start_ns() const noexcept {
-    return start_ns_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t last_publish_ns() const noexcept {
-    return last_publish_ns_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t folded_through() const noexcept {
-    return folded_through_.load(std::memory_order_relaxed);
-  }
-  std::uint64_t refolds() const noexcept {
-    return refolds_.load(std::memory_order_relaxed);
-  }
-  std::uint32_t flags() const noexcept {
-    return flags_.load(std::memory_order_relaxed);
-  }
-  double mass_gap() const noexcept {
-    return mass_gap_.load(std::memory_order_relaxed);
-  }
-  double last_fold_seconds() const noexcept {
-    return last_fold_seconds_.load(std::memory_order_relaxed);
-  }
+  std::uint64_t start_ns() const;
+  Fold last_fold() const;
 
  private:
-  std::atomic<std::uint64_t> start_ns_{0};
-  std::atomic<std::uint64_t> last_publish_ns_{0};
-  std::atomic<std::uint64_t> folded_through_{0};
-  std::atomic<std::uint64_t> refolds_{0};
-  std::atomic<std::uint32_t> flags_{0};
-  std::atomic<double> mass_gap_{0.0};
-  std::atomic<double> last_fold_seconds_{0.0};
+  mutable std::mutex mu_;
+  std::uint64_t start_ns_ = 0;
+  Fold fold_;
 };
 
 /// Optional observability context threaded into ConnectionHandler (and

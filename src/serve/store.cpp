@@ -120,11 +120,32 @@ void ReputationStore::reclaim_locked() {
 // --- ingest queue -----------------------------------------------------------
 
 void ReputationStore::enqueue_feedback(const FeedbackUpdate& f) {
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(ingest_mutex_);
     pending_.push_back(f);
+    if (wake_at_ != 0 && pending_.size() >= wake_at_) {
+      wake_at_ = 0;
+      wake = true;
+    }
   }
   feedback_enqueued_.fetch_add(1, std::memory_order_relaxed);
+  if (wake) feedback_cv_.notify_all();
+}
+
+std::size_t ReputationStore::wait_feedback(std::size_t at_least,
+                                           std::chrono::nanoseconds timeout) {
+  const auto deadline = std::chrono::steady_clock::now() + timeout;
+  std::unique_lock<std::mutex> lock(ingest_mutex_);
+  ++waiters_;
+  while (pending_.size() < at_least) {
+    // Every waiter re-arms on each pass, so an enqueue that woke everyone
+    // for a lower threshold leaves the higher ones waiting.
+    if (wake_at_ == 0 || at_least < wake_at_) wake_at_ = at_least;
+    if (feedback_cv_.wait_until(lock, deadline) == std::cv_status::timeout) break;
+  }
+  if (--waiters_ == 0) wake_at_ = 0;
+  return pending_.size();
 }
 
 std::size_t ReputationStore::drain_feedback(std::vector<FeedbackUpdate>& out) {

@@ -30,11 +30,16 @@
 // The ingest side is deliberately boring: feedback updates are appended to
 // a mutex-guarded pending buffer and drained in batches by whoever owns the
 // aggregation loop (tools/repserved folds them through the feedback ledger
-// and republishes). Serving is observational with respect to the engine —
-// folding scores into the store never feeds back into aggregation state.
+// and republishes). The loop can sleep until a batch is queued:
+// wait_feedback blocks until enough updates are pending, and an enqueue
+// notifies only when it reaches a waiter's threshold. Serving is
+// observational with respect to the engine — folding scores into the store
+// never feeds back into aggregation state.
 #pragma once
 
 #include <atomic>
+#include <chrono>
+#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <mutex>
@@ -122,8 +127,14 @@ class ReputationStore {
   // --- ingest queue ---------------------------------------------------------
 
   /// Appends one feedback update to the pending batch (mutex-guarded; the
-  /// ingest path is a write path and may lock).
+  /// ingest path is a write path and may lock). Wakes the wait_feedback
+  /// callers when it brings the batch to the lowest of their thresholds.
   void enqueue_feedback(const FeedbackUpdate& f);
+
+  /// Blocks until at least `at_least` updates are pending or `timeout`
+  /// passes, whichever comes first; returns the number pending. Never
+  /// drains, and returns at once when the threshold is already met.
+  std::size_t wait_feedback(std::size_t at_least, std::chrono::nanoseconds timeout);
 
   /// Swap-drains every pending update into `out` (cleared first); returns
   /// the number drained.
@@ -175,6 +186,9 @@ class ReputationStore {
 
   mutable std::mutex ingest_mutex_;
   std::vector<FeedbackUpdate> pending_;
+  std::condition_variable feedback_cv_;
+  std::size_t wake_at_ = 0;  ///< lowest waiter threshold; 0 = none armed
+  std::size_t waiters_ = 0;  ///< threads inside wait_feedback
   std::atomic<std::uint64_t> feedback_enqueued_{0};
 };
 

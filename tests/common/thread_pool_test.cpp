@@ -1,6 +1,7 @@
 #include "common/thread_pool.hpp"
 
 #include <gtest/gtest.h>
+#include <sched.h>
 
 #include <algorithm>
 #include <atomic>
@@ -132,6 +133,43 @@ TEST(ThreadPool, EmptyRangeIsANoOp) {
   pool.parallel_for(5, 5, 4,
                     [&](std::size_t, std::size_t, std::size_t) { ran = true; });
   EXPECT_FALSE(ran);
+}
+
+// Restores the calling thread's CPU mask when it goes out of scope, so a
+// failed assertion cannot leave the test thread pinned.
+class AffinityRestorer {
+ public:
+  AffinityRestorer() { ok_ = ::sched_getaffinity(0, sizeof(saved_), &saved_) == 0; }
+  ~AffinityRestorer() {
+    if (ok_) ::sched_setaffinity(0, sizeof(saved_), &saved_);
+  }
+  AffinityRestorer(const AffinityRestorer&) = delete;
+  AffinityRestorer& operator=(const AffinityRestorer&) = delete;
+
+  bool ok() const { return ok_; }
+  const cpu_set_t& saved() const { return saved_; }
+
+ private:
+  cpu_set_t saved_{};
+  bool ok_ = false;
+};
+
+TEST(ThreadPool, ZeroLanesFollowTheAffinityMask) {
+  AffinityRestorer restore;
+  ASSERT_TRUE(restore.ok());
+  const std::size_t mask_cpus =
+      static_cast<std::size_t>(CPU_COUNT(&restore.saved()));
+  EXPECT_EQ(available_cpus(), mask_cpus);
+  EXPECT_EQ(ThreadPool(0).num_threads(), mask_cpus);
+
+  int first = 0;
+  while (!CPU_ISSET(first, &restore.saved())) ++first;
+  cpu_set_t one;
+  CPU_ZERO(&one);
+  CPU_SET(first, &one);
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(one), &one), 0);
+  EXPECT_EQ(available_cpus(), 1u);
+  EXPECT_EQ(ThreadPool(0).num_threads(), 1u);
 }
 
 }  // namespace

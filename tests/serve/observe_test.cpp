@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdint>
 #include <cstdio>
 #include <string>
@@ -279,6 +280,48 @@ TEST_F(ObserveTest, StalenessTracksIngestBurstAndRecovery) {
   HealthPayload h4 = collect_health(store, &health);
   EXPECT_EQ(h4.staleness_frames, 1u);
   EXPECT_GT(h4.staleness_seconds, 0.0);
+}
+
+// A HEALTH reply carries one fold's fields, never a mix of two. The writer
+// publishes fold k with folded_through = 1000 k and fold_seconds = k, so
+// every reply must read folded_through == 1000 * refolds and
+// last_fold_seconds == refolds.
+TEST_F(ObserveTest, HealthNeverMixesTwoFolds) {
+  constexpr std::uint64_t kFolds = 1000;
+  constexpr std::uint64_t kStride = 1000;
+  // HEALTH reports folded_through as enqueued - staleness_frames, which
+  // needs at least kFolds * kStride frames enqueued.
+  std::vector<FeedbackUpdate> drained;
+  for (std::uint64_t i = 1; i <= kFolds * kStride; ++i) {
+    store.enqueue_feedback({0, 1, 0.5});
+    if (i % 4096 == 0) store.drain_feedback(drained);
+  }
+  const std::uint64_t enqueued = store.feedback_enqueued();
+
+  HealthState health;
+  health.note_start();
+  std::atomic<bool> reading{false}, done{false};
+  std::thread writer([&] {
+    while (!reading.load()) std::this_thread::yield();
+    for (std::uint64_t k = 1; k <= kFolds; ++k)
+      health.note_publish(k * kStride, true, false, 0.0, static_cast<double>(k));
+    done.store(true);
+  });
+  std::uint64_t replies = 0, mixed = 0;
+  reading.store(true);
+  while (!done.load()) {
+    const HealthPayload h = collect_health(store, &health);
+    const std::uint64_t folded_through = enqueued - h.staleness_frames;
+    if (folded_through != kStride * h.refolds ||
+        h.last_fold_seconds != static_cast<double>(h.refolds))
+      ++mixed;
+    ++replies;
+  }
+  writer.join();
+  EXPECT_EQ(mixed, 0u) << "of " << replies << " replies";
+  const HealthPayload last = collect_health(store, &health);
+  EXPECT_EQ(last.refolds, kFolds);
+  EXPECT_EQ(enqueued - last.staleness_frames, kFolds * kStride);
 }
 
 TEST_F(ObserveTest, HealthWithoutFoldLoopReportsStoreOnly) {

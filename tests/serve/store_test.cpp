@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -129,6 +130,72 @@ TEST(ReputationStore, IngestQueueDrains) {
   EXPECT_EQ(store.feedback_pending(), 0u);
   EXPECT_EQ(store.drain_feedback(out), 0u);
   EXPECT_EQ(store.feedback_enqueued(), 100u);  // enqueued is cumulative
+}
+
+// --- threshold wait on the ingest queue -----------------------------------
+
+using std::chrono::milliseconds;
+using WaitClock = std::chrono::steady_clock;
+
+double seconds_since(WaitClock::time_point t0) {
+  return std::chrono::duration<double>(WaitClock::now() - t0).count();
+}
+
+TEST(ReputationStore, WaitFeedbackWakesWhenAnEnqueueReachesTheThreshold) {
+  ReputationStore store;
+  constexpr std::uint64_t kBatch = 64;
+  // The last update lands well after the waiter is asleep, so only the
+  // threshold wake, not the 5 s timeout, can end the wait in time.
+  std::thread producer([&] {
+    for (std::uint64_t i = 0; i + 1 < kBatch; ++i)
+      store.enqueue_feedback({i, i + 1, 0.5});
+    std::this_thread::sleep_for(milliseconds(50));
+    store.enqueue_feedback({kBatch, kBatch + 1, 0.5});
+  });
+  const auto t0 = WaitClock::now();
+  const std::size_t pending = store.wait_feedback(kBatch, std::chrono::seconds(5));
+  const double waited = seconds_since(t0);
+  producer.join();
+  EXPECT_EQ(pending, kBatch);
+  EXPECT_LT(waited, 2.5);
+  EXPECT_EQ(store.feedback_pending(), kBatch);  // waiting never drains
+}
+
+TEST(ReputationStore, WaitFeedbackWakesEachWaiterAtItsOwnThreshold) {
+  ReputationStore store;
+  std::atomic<std::size_t> low_saw{0}, high_saw{0};
+  std::thread low([&] { low_saw = store.wait_feedback(10, std::chrono::seconds(5)); });
+  std::thread high([&] { high_saw = store.wait_feedback(20, std::chrono::seconds(5)); });
+  const auto t0 = WaitClock::now();
+  for (std::uint64_t i = 0; i < 20; ++i) {
+    std::this_thread::sleep_for(milliseconds(2));
+    store.enqueue_feedback({i, i + 1, 0.5});
+  }
+  low.join();
+  high.join();
+  EXPECT_LT(seconds_since(t0), 2.5);
+  EXPECT_GE(low_saw.load(), 10u);
+  EXPECT_EQ(high_saw.load(), 20u);
+  EXPECT_EQ(store.feedback_pending(), 20u);
+}
+
+TEST(ReputationStore, WaitFeedbackTimesOutBelowTheThreshold) {
+  ReputationStore store;
+  store.enqueue_feedback({0, 1, 0.5});
+  const auto t0 = WaitClock::now();
+  EXPECT_EQ(store.wait_feedback(2, milliseconds(30)), 1u);
+  EXPECT_GE(seconds_since(t0), 0.029);
+  EXPECT_EQ(store.feedback_pending(), 1u);
+}
+
+TEST(ReputationStore, WaitFeedbackReturnsAtOnceWhenTheThresholdIsMet) {
+  ReputationStore store;
+  for (std::uint64_t i = 0; i < 3; ++i) store.enqueue_feedback({i, i + 1, 0.5});
+  const auto t0 = WaitClock::now();
+  EXPECT_EQ(store.wait_feedback(3, std::chrono::seconds(5)), 3u);
+  EXPECT_EQ(store.wait_feedback(0, std::chrono::seconds(5)), 3u);
+  EXPECT_LT(seconds_since(t0), 2.5);
+  EXPECT_EQ(store.feedback_pending(), 3u);
 }
 
 // The load-bearing test: N reader threads hammer lookups while a writer

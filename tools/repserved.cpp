@@ -10,6 +10,20 @@
 // the fresh scores under a new epoch — the paper's "reputation updating"
 // path, live.
 //
+// Lanes: the engine's gossip kernel runs one lane per CPU the process may
+// use (its affinity mask, so `taskset -c 0,1` gives 2), at most one per
+// column block; the startup line reports the count as `lanes=L`. The lanes'
+// worker threads exist before the ready line, built by the startup
+// aggregation. Results are bit-identical at any lane count. With more than
+// one lane, each lane yields its CPU after every block step, so the event
+// loop, if it shares a CPU with a lane, answers within one block step.
+//
+// Wake: the fold loop sleeps in ReputationStore::wait_feedback until the
+// queue holds the INGESTs still missing from the next refold, or 50 ms
+// pass. A refold therefore starts as soon as its batch is queued, and the
+// queue is still drained at least every 50 ms (HEALTH's ingest_backlog,
+// shutdown). A refold still needs --refold INGESTs the ledger records.
+//
 // Observability (PR 9): the JSONL EventLog opens at startup; every
 // --metrics-interval seconds the fold loop appends a `serve_metrics`
 // record (all serve_* counters + latency histogram buckets) and a
@@ -33,7 +47,6 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "common/rng.hpp"
@@ -142,11 +155,13 @@ int main(int argc, char** argv) {
   gt::trust::generate_honest_feedback(ledger, qualities, gen, rng);
 
   gt::core::GossipTrustConfig ecfg;
+  ecfg.num_threads = 0;  // one lane per CPU in the affinity mask
   gt::core::GossipTrustEngine engine(opt.n, ecfg);
   gt::core::AggregationResult agg = engine.run(ledger.normalized_matrix(), rng);
   std::fprintf(stderr,
-               "repserved: seeded n=%zu, engine converged=%d in %zu cycles\n",
-               opt.n, agg.converged ? 1 : 0, agg.num_cycles());
+               "repserved: seeded n=%zu lanes=%zu, engine converged=%d in %zu cycles\n",
+               opt.n, engine.gossip_lanes(), agg.converged ? 1 : 0,
+               agg.num_cycles());
 
   // --- serving stack --------------------------------------------------------
   gt::serve::ReputationStore store;
@@ -196,7 +211,9 @@ int main(int argc, char** argv) {
   std::vector<double> scores = agg.scores;
   double next_export = opt.metrics_interval;
   while (!g_stop.load(std::memory_order_acquire)) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(50));
+    // since_refold < --refold here; the pending count may include frames
+    // the ledger will not record, which only wakes the loop early.
+    store.wait_feedback(opt.refold - since_refold, std::chrono::milliseconds(50));
     if (opt.max_seconds > 0.0 && uptime_now() >= opt.max_seconds) break;
     store.drain_feedback(drained);
     for (const auto& f : drained) {
