@@ -91,30 +91,29 @@ void ratio_accumulate_scalar(double* acc, std::uint32_t* cnt, const double* x,
     ratio_accumulate_one(acc + i, cnt + i, x[i], w[i], floor);
 }
 
-/// gather_row's payload: how many i have h*x[i] != 0.0 or h*w[i] != 0.0.
-std::uint64_t payload_count_scalar(const double* x, const double* w, double h,
-                                   std::size_t n) {
-  std::uint64_t count = 0;
-  for (std::size_t i = 0; i < n; ++i)
-    count += (h * x[i] != 0.0 || h * w[i] != 0.0) ? 1u : 0u;
-  return count;
-}
-
 /// Elements [i0, n) of gather_row: the definition every level reproduces.
-void gather_row_part(double* nx, double* nw, const double* x, const double* w,
-                     double keep, const double* const* sx,
-                     const double* const* sw, std::size_t k, std::size_t i0,
-                     std::size_t n) {
+/// The payload is counted from the loaded old values, so nx may equal x.
+std::uint64_t gather_row_part(double* nx, double* nw, const double* x,
+                              const double* w, double keep,
+                              const double* const* sx, const double* const* sw,
+                              std::size_t k, double h, std::size_t i0,
+                              std::size_t n) {
+  const bool count_payload = h != 0.0;
+  std::uint64_t count = 0;
   for (std::size_t i = i0; i < n; ++i) {
-    double vx = keep * x[i];
-    double vw = keep * w[i];
+    const double xo = x[i];
+    const double wo = w[i];
+    double vx = keep * xo;
+    double vw = keep * wo;
     for (std::size_t s = 0; s < k; ++s) {
       vx += 0.5 * sx[s][i];
       vw += 0.5 * sw[s][i];
     }
+    if (count_payload) count += (h * xo != 0.0 || h * wo != 0.0) ? 1u : 0u;
     nx[i] = vx;
     nw[i] = vw;
   }
+  return count;
 }
 
 std::uint64_t gather_row_scalar(double* nx, double* nw, const double* x,
@@ -122,8 +121,7 @@ std::uint64_t gather_row_scalar(double* nx, double* nw, const double* x,
                                 const double* const* sx,
                                 const double* const* sw, std::size_t k,
                                 double h, std::size_t n) {
-  gather_row_part(nx, nw, x, w, keep, sx, sw, k, 0, n);
-  return h != 0.0 ? payload_count_scalar(x, w, h, n) : 0;
+  return gather_row_part(nx, nw, x, w, keep, sx, sw, k, h, 0, n);
 }
 
 const Kernels kScalarKernels = {
@@ -318,9 +316,7 @@ GT_AVX2 std::uint64_t gather_row_avx2(double* nx, double* nw, const double* x,
       count += static_cast<unsigned>(__builtin_popcount(_mm256_movemask_pd(nz)));
     }
   }
-  gather_row_part(nx, nw, x, w, keep, sx, sw, k, i, n);
-  if (count_payload) count += payload_count_scalar(x + i, w + i, h, n - i);
-  return count;
+  return count + gather_row_part(nx, nw, x, w, keep, sx, sw, k, h, i, n);
 }
 
 const Kernels kAvx2Kernels = {
@@ -437,9 +433,7 @@ GT_AVX512 std::uint64_t gather_row_avx512(double* nx, double* nw,
       count += static_cast<unsigned>(__builtin_popcount(nz));
     }
   }
-  gather_row_part(nx, nw, x, w, keep, sx, sw, k, i, n);
-  if (count_payload) count += payload_count_scalar(x + i, w + i, h, n - i);
-  return count;
+  return count + gather_row_part(nx, nw, x, w, keep, sx, sw, k, h, i, n);
 }
 
 const Kernels kAvx512Kernels = {
@@ -612,9 +606,7 @@ std::uint64_t gather_row_neon(double* nx, double* nw, const double* x,
       count += (vgetq_lane_u64(nz, 0) & 1) + (vgetq_lane_u64(nz, 1) & 1);
     }
   }
-  gather_row_part(nx, nw, x, w, keep, sx, sw, k, i, n);
-  if (count_payload) count += payload_count_scalar(x + i, w + i, h, n - i);
-  return count;
+  return count + gather_row_part(nx, nw, x, w, keep, sx, sw, k, h, i, n);
 }
 
 const Kernels kNeonKernels = {

@@ -80,10 +80,12 @@ struct Kernels {
   /// followed by k accumulate_scaled calls — and likewise nw from w and
   /// sw. It also returns the old row's payload, the number of i with
   /// h*x[i] != 0.0 || h*w[i] != 0.0 (NaN compares unequal to zero, as
-  /// with the scalar `!=`), or 0 without reading it when h == 0. The
-  /// outputs must not overlap any input. Gossip state is finite; where two
-  /// NaN operands meet, which payload survives is left open, as IEEE 754
-  /// leaves it.
+  /// with the scalar `!=`), or 0 without reading it when h == 0. The row
+  /// may be updated in place (nx == x, nw == w): every level counts the
+  /// payload from the old values it loaded before storing. Otherwise the
+  /// outputs must not overlap any input, and no sender row may overlap
+  /// an output. Gossip state is finite; where two NaN operands meet,
+  /// which payload survives is left open, as IEEE 754 leaves it.
   std::uint64_t (*gather_row)(double* nx, double* nw, const double* x,
                               const double* w, double keep,
                               const double* const* sx,

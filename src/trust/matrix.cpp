@@ -41,6 +41,24 @@ SparseMatrix SparseMatrix::Builder::build() && {
   return m;
 }
 
+SparseMatrix SparseMatrix::from_csr(std::vector<std::size_t> row_ptr,
+                                    std::vector<Entry> entries) {
+  assert(!row_ptr.empty() && row_ptr.front() == 0 &&
+         row_ptr.back() == entries.size());
+  SparseMatrix m;
+  m.row_ptr_ = std::move(row_ptr);
+  m.entries_ = std::move(entries);
+#ifndef NDEBUG
+  for (NodeId r = 0; r < m.size(); ++r) {
+    assert(m.row_ptr_[r] <= m.row_ptr_[r + 1]);
+    const auto row = m.row(r);
+    for (std::size_t k = 0; k < row.size(); ++k)
+      assert(row[k].col < m.size() && (k == 0 || row[k - 1].col < row[k].col));
+  }
+#endif
+  return m;
+}
+
 double SparseMatrix::row_sum(NodeId r) const {
   double s = 0.0;
   for (const auto& e : row(r)) s += e.value;
@@ -58,13 +76,17 @@ double SparseMatrix::at(NodeId r, NodeId c) const {
 
 SparseMatrix SparseMatrix::row_normalized() const {
   const std::size_t n = size();
-  Builder b(n);
+  std::vector<std::size_t> row_ptr(n + 1, 0);
+  std::vector<Entry> entries;
+  entries.reserve(nonzeros());
   for (NodeId r = 0; r < n; ++r) {
+    row_ptr[r] = entries.size();
     const double s = row_sum(r);
     if (s <= 0.0) continue;
-    for (const auto& e : row(r)) b.add(r, e.col, e.value / s);
+    for (const auto& e : row(r)) entries.push_back(Entry{e.col, e.value / s});
   }
-  return std::move(b).build();
+  row_ptr[n] = entries.size();
+  return from_csr(std::move(row_ptr), std::move(entries));
 }
 
 bool SparseMatrix::is_row_stochastic(double tol) const {

@@ -22,7 +22,7 @@ struct Entry {
 };
 
 /// Row-major sparse matrix with CSR-like storage. Immutable after build;
-/// construct via Builder.
+/// construct via Builder, or from_csr() when the rows are already sorted.
 class SparseMatrix {
  public:
   class Builder {
@@ -39,6 +39,13 @@ class SparseMatrix {
     std::size_t n_;
     std::vector<std::vector<Entry>> rows_;
   };
+
+  /// Takes compressed rows as they are: row r is entries[row_ptr[r],
+  /// row_ptr[r + 1]). row_ptr holds n + 1 ascending offsets from 0 to
+  /// entries.size(), and each row's columns are ascending, distinct and
+  /// below n (checked by assertions only).
+  static SparseMatrix from_csr(std::vector<std::size_t> row_ptr,
+                               std::vector<Entry> entries);
 
   std::size_t size() const noexcept { return row_ptr_.empty() ? 0 : row_ptr_.size() - 1; }
   std::size_t nonzeros() const noexcept { return entries_.size(); }

@@ -453,6 +453,16 @@ TEST_P(SimdKernelSweep, GatherRowMatchesComposedKernels) {
             EXPECT_EQ(count, ref_count)
                 << level_name(kn->level) << " n=" << n << " k=" << k
                 << " keep=" << keep << " h=" << h;
+            // In place: the payload still counts the old row.
+            std::vector<double> ix = x, iw = w;
+            const std::uint64_t in_place =
+                kn->gather_row(ix.data(), iw.data(), ix.data(), iw.data(),
+                               keep, sx.data(), sw.data(), k, h, n);
+            EXPECT_BITEQ_VEC(ix, ref_x);
+            EXPECT_BITEQ_VEC(iw, ref_w);
+            EXPECT_EQ(in_place, ref_count)
+                << "in place " << level_name(kn->level) << " n=" << n
+                << " k=" << k << " keep=" << keep << " h=" << h;
           }
         }
       }
