@@ -227,7 +227,9 @@ bool TraceSink::finish() {
   if (ok && head_ > 0)
     ok = std::fwrite(ring_.data(), sizeof(TraceRecord), head_, f) == head_;
   if (std::fclose(f) != 0) ok = false;
-  if (!ok) GT_WARN() << "TraceSink: short write to " << config_.path;
+  if (!ok) {
+    GT_WARN() << "TraceSink: short write to " << config_.path;
+  }
   return ok;
 }
 

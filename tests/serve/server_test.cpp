@@ -260,8 +260,8 @@ TEST_P(ServerTest, CleanStopWithOpenConnections) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ServerTest, ::testing::Values(false, true),
-                         [](const ::testing::TestParamInfo<bool>& info) {
-                           return info.param ? "poll" : "epoll";
+                         [](const ::testing::TestParamInfo<bool>& backend) {
+                           return backend.param ? "poll" : "epoll";
                          });
 
 // Serving is observational: folding converged scores into the store and

@@ -36,7 +36,9 @@ TEST(ChordRing, SuccessorWrapsAroundZero) {
       min_node = v;
     }
   }
-  if (max_pos != ~Key{0}) EXPECT_EQ(ring.successor(max_pos + 1), min_node);
+  if (max_pos != ~Key{0}) {
+    EXPECT_EQ(ring.successor(max_pos + 1), min_node);
+  }
 }
 
 TEST(ChordRing, LookupFindsTrueOwnerFromEveryStart) {

@@ -161,9 +161,12 @@ TEST(Analyzer, SyntheticMassLeakAndConvergenceStallDetected) {
   EXPECT_TRUE(has_anomaly(summary, Anomaly::Type::kMassLeak));
   EXPECT_TRUE(has_anomaly(summary, Anomaly::Type::kConvergenceStall));
   for (const auto& a : summary.anomalies) {
-    if (a.type == Anomaly::Type::kMassLeak) EXPECT_EQ(a.node, 2u);
-    if (a.type == Anomaly::Type::kConvergenceStall)
+    if (a.type == Anomaly::Type::kMassLeak) {
+      EXPECT_EQ(a.node, 2u);
+    }
+    if (a.type == Anomaly::Type::kConvergenceStall) {
       EXPECT_NEAR(a.value, 10.0, 1e-9);
+    }
   }
   sink.finish();
   std::remove(cfg.path.c_str());
