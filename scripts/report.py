@@ -164,6 +164,11 @@ SERVE_COUNTERS = (
     "serve_slow_frames",
 )
 
+# Where the event loop picked up each batch of ready events: a poll while
+# requests were dense, or a blocking wait. Records from before the poll
+# rule lack them, so they are checked only when present.
+SERVE_LOOP_COUNTERS = ("serve_loop_polled", "serve_loop_woken")
+
 # Latency histograms embedded in a `serve` record as nested objects.
 SERVE_HISTOGRAMS = (
     "serve_lookup_seconds", "serve_batch_seconds", "serve_ingest_seconds",
@@ -194,7 +199,8 @@ def validate_serve_fields(obj, what="serve"):
     """Schema check for a `serve` / `serve_metrics` record."""
     if not is_number(obj.get("uptime_seconds")) or obj["uptime_seconds"] < 0:
         return f"{what} record: missing/invalid 'uptime_seconds'"
-    for key in SERVE_COUNTERS:
+    present = tuple(k for k in SERVE_LOOP_COUNTERS if k in obj)
+    for key in SERVE_COUNTERS + present:
         v = obj.get(key)
         if not isinstance(v, int) or isinstance(v, bool) or v < 0:
             return f"{what} record: missing/invalid '{key}'"
@@ -554,6 +560,11 @@ def summarize_serve(records):
               f"  connections: {r['serve_conns_opened']} opened, "
               f"{r['serve_conns_closed']} closed"
               f"  protocol errors: {r['serve_proto_errors']}")
+        if all(k in r for k in SERVE_LOOP_COUNTERS):
+            polled, woken = r["serve_loop_polled"], r["serve_loop_woken"]
+            share = fmt(polled / (polled + woken)) if polled + woken else "-"
+            print(f"event-loop batches: {polled} polled, {woken} woken "
+                  f"(polled share {share})")
 
         rows = []
         for key in SERVE_HISTOGRAMS:

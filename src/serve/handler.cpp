@@ -31,6 +31,8 @@ ServeMetrics ServeMetrics::register_on(telemetry::MetricsRegistry& registry) {
   m.bp_pauses = registry.counter("serve_bp_pauses");
   m.bp_resumes = registry.counter("serve_bp_resumes");
   m.slow_frames = registry.counter("serve_slow_frames");
+  m.loop_polled = registry.counter("serve_loop_polled");
+  m.loop_woken = registry.counter("serve_loop_woken");
   m.lookup_seconds = registry.histogram("serve_lookup_seconds", lat);
   m.batch_seconds = registry.histogram("serve_batch_seconds", lat);
   m.ingest_seconds = registry.histogram("serve_ingest_seconds", lat);

@@ -49,6 +49,9 @@ struct ServeMetrics {
   telemetry::Counter bp_pauses;      ///< serve_bp_pauses (reads suspended)
   telemetry::Counter bp_resumes;     ///< serve_bp_resumes (reads resumed)
   telemetry::Counter slow_frames;    ///< serve_slow_frames (over threshold)
+  // Where the event loop picked up each batch of ready events:
+  telemetry::Counter loop_polled;    ///< serve_loop_polled (a poll found it)
+  telemetry::Counter loop_woken;     ///< serve_loop_woken (a blocking wait)
   telemetry::Histogram lookup_seconds;  ///< serve_lookup_seconds
   telemetry::Histogram batch_seconds;   ///< serve_batch_seconds
   telemetry::Histogram ingest_seconds;  ///< serve_ingest_seconds

@@ -5,10 +5,12 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
+#include <chrono>
 #include <cstring>
 #include <unordered_map>
 #include <vector>
@@ -29,6 +31,12 @@ constexpr std::size_t kMaxConnections = 256;  ///< accepts beyond this are refus
 constexpr std::size_t kReadChunk = 64 * 1024;  ///< per-read buffer size
 /// Metrics lane of the one loop thread's handlers and lifecycle counters.
 constexpr std::size_t kMetricsLane = 0;
+/// Poll window (see server.hpp): a batch this soon after the previous one
+/// makes the loop poll, and it polls until this long passes without one.
+constexpr auto kPollWindow = std::chrono::microseconds(200);
+/// A sched_yield() between empty polls that takes longer than this means
+/// another thread wanted the CPU: the loop goes back to the blocking wait.
+constexpr auto kContendedYield = std::chrono::microseconds(20);
 
 bool set_nonblocking(int fd) {
   const int flags = ::fcntl(fd, F_GETFL, 0);
@@ -40,7 +48,9 @@ std::string errno_string(const char* what) {
 }
 
 // Minimal readiness abstraction so the epoll and poll loops share every
-// line of connection logic. Not a hot path: one wait() per loop iteration.
+// line of connection logic. While requests arrive densely the loop polls,
+// wait(out, 0) back to back one sched_yield() apart, so wait() is on the
+// hot path then: keep it one system call and one pass over its results.
 struct Poller {
   struct Event {
     int fd;
@@ -327,8 +337,32 @@ void Server::run_loop() {
     }
   };
 
+  // The wait rule (server.hpp): block while batches are sparse; poll, one
+  // sched_yield() apart, while they come within kPollWindow of each other
+  // and no other thread wants this CPU.
+  using Clock = std::chrono::steady_clock;
+  bool polling = false;
+  Clock::time_point last_batch{};  // when a wait last returned events
   while (!stop_requested_.load(std::memory_order_acquire)) {
-    poller->wait(events, -1);
+    if (polling) {
+      if (poller->wait(events, 0) <= 0) {
+        const Clock::time_point idle = Clock::now();
+        if (idle - last_batch >= kPollWindow) {
+          polling = false;
+          continue;
+        }
+        ::sched_yield();
+        if (Clock::now() - idle > kContendedYield) polling = false;
+        continue;
+      }
+      registry_.add(metrics_.loop_polled, 1, kMetricsLane);
+    } else {
+      if (poller->wait(events, -1) <= 0) continue;  // EINTR
+      registry_.add(metrics_.loop_woken, 1, kMetricsLane);
+    }
+    const Clock::time_point now = Clock::now();
+    polling = now - last_batch < kPollWindow;
+    last_batch = now;
     for (const Poller::Event& ev : events) {
       if (ev.fd == wake_rd_) {
         char drain[64];

@@ -52,7 +52,8 @@ class FeedbackLedger {
   /// Raw trust matrix R: the positive totals.
   SparseMatrix raw_matrix() const;
 
-  /// Normalized trust matrix S (Eq. 1): raw_matrix().row_normalized().
+  /// Normalized trust matrix S (Eq. 1): raw_matrix().row_normalized(),
+  /// which scales R's own rows in place, so R and S are never held at once.
   SparseMatrix normalized_matrix() const;
 
   /// Drops all feedback issued by or about `peer` (used when a peer leaves

@@ -74,19 +74,27 @@ double SparseMatrix::at(NodeId r, NodeId c) const {
   return 0.0;
 }
 
-SparseMatrix SparseMatrix::row_normalized() const {
+SparseMatrix SparseMatrix::row_normalized() && {
+  // Rows only shrink, so entry k of a row is read before any write reaches
+  // it: the write cursor never passes the read cursor.
   const std::size_t n = size();
-  std::vector<std::size_t> row_ptr(n + 1, 0);
-  std::vector<Entry> entries;
-  entries.reserve(nonzeros());
+  std::size_t out = 0;
   for (NodeId r = 0; r < n; ++r) {
-    row_ptr[r] = entries.size();
+    const std::size_t begin = row_ptr_[r];
+    const std::size_t end = row_ptr_[r + 1];
     const double s = row_sum(r);
+    row_ptr_[r] = out;
     if (s <= 0.0) continue;
-    for (const auto& e : row(r)) entries.push_back(Entry{e.col, e.value / s});
+    for (std::size_t k = begin; k < end; ++k)
+      entries_[out++] = Entry{entries_[k].col, entries_[k].value / s};
   }
-  row_ptr[n] = entries.size();
-  return from_csr(std::move(row_ptr), std::move(entries));
+  if (n > 0) row_ptr_[n] = out;
+  entries_.resize(out);
+  return std::move(*this);
+}
+
+SparseMatrix SparseMatrix::row_normalized() const& {
+  return SparseMatrix(*this).row_normalized();
 }
 
 bool SparseMatrix::is_row_stochastic(double tol) const {

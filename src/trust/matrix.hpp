@@ -59,10 +59,14 @@ class SparseMatrix {
   /// Value at (r, c); O(log row-size).
   double at(NodeId r, NodeId c) const;
 
-  /// Returns a copy with every non-empty row scaled to sum to 1 (Eq. 1).
-  /// Empty rows (peers that issued no feedback) are left empty; the
-  /// aggregation layer treats them as uniform via the dangling mass rule.
-  SparseMatrix row_normalized() const;
+  /// Every row scaled to sum to 1 (Eq. 1): each entry divided by its
+  /// row_sum(). Rows whose sum is <= 0 (peers that issued no feedback) come
+  /// out empty; the aggregation layer treats them as uniform via the
+  /// dangling mass rule. The rvalue form divides this matrix's own entries
+  /// in place and compacts the emptied rows away, so R is never held beside
+  /// S; the const form copies and then runs it.
+  SparseMatrix row_normalized() &&;
+  SparseMatrix row_normalized() const&;
 
   /// True when every non-empty row sums to 1 within tol.
   bool is_row_stochastic(double tol = 1e-9) const;

@@ -1,6 +1,7 @@
 // serve::Server end to end: real sockets against both poller backends,
-// malformed input over TCP, clean shutdown with connections open, and the
-// observational gate — serving must not perturb engine results.
+// malformed input over TCP, clean shutdown with connections open, the
+// event loop's poll and blocking states, and the observational gate —
+// serving must not perturb engine results.
 #include "serve/server.hpp"
 
 #include <arpa/inet.h>
@@ -10,7 +11,9 @@
 #include <sys/socket.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <cstdint>
 #include <cstring>
 #include <string>
@@ -56,12 +59,16 @@ class TestClient {
   }
   bool ok() const { return fd_ >= 0; }
 
+  /// MSG_NOSIGNAL: a send to a connection the server closed fails with
+  /// EPIPE instead of killing the test with SIGPIPE.
   bool send(const std::vector<std::uint8_t>& bytes) {
     std::size_t off = 0;
     while (off < bytes.size()) {
-      const ssize_t n = ::write(fd_, bytes.data() + off, bytes.size() - off);
+      const ssize_t n = ::send(fd_, bytes.data() + off, bytes.size() - off,
+                               MSG_NOSIGNAL);
       if (n <= 0) {
         if (n < 0 && errno == EINTR) continue;
+        note_close(n);
         return false;
       }
       off += static_cast<std::size_t>(n);
@@ -76,6 +83,7 @@ class TestClient {
       const ssize_t n = ::read(fd_, out + got, len - got);
       if (n <= 0) {
         if (n < 0 && errno == EINTR) continue;
+        note_close(n);
         return false;
       }
       got += static_cast<std::size_t>(n);
@@ -99,8 +107,19 @@ class TestClient {
     return n == 0;
   }
 
+  /// True once a send or receive failed because the server closed the
+  /// connection: EOF, or a reset when the close found a request unread.
+  /// A receive timeout does not count.
+  bool closed_by_server() const { return closed_by_server_; }
+
  private:
+  void note_close(ssize_t n) {
+    if (n == 0 || errno == ECONNRESET || errno == EPIPE)
+      closed_by_server_ = true;
+  }
+
   int fd_ = -1;
+  bool closed_by_server_ = false;
 };
 
 class ServerTest : public ::testing::TestWithParam<bool> {
@@ -257,6 +276,71 @@ TEST_P(ServerTest, CleanStopWithOpenConnections) {
   EXPECT_TRUE(c1.eof());
   EXPECT_TRUE(c2.eof());
   server_->stop();  // idempotent
+}
+
+// After a back-to-back burst the loop may be polling. 5 ms of silence (25
+// poll windows) must put it back in the blocking wait, and the next request
+// must be answered from there. Only serve_loop_woken is asserted: a slow
+// (sanitizer) build may never poll, and a loop preempted inside its window
+// can poll the late request up instead, so the late request gets retries.
+TEST_P(ServerTest, RequestAfterAnIdleGapIsAnsweredByABlockingWait) {
+  start();
+  TestClient c(server_->port());
+  ASSERT_TRUE(c.ok());
+  std::vector<std::uint8_t> tx;
+  encode_lookup(tx, 1);
+  FrameHeader h;
+  std::vector<std::uint8_t> payload;
+  for (int i = 0; i < 200; ++i) {
+    ASSERT_TRUE(c.send(tx));
+    ASSERT_TRUE(c.recv_frame(&h, &payload)) << "burst request " << i;
+  }
+  bool woken = false;
+  for (int attempt = 0; attempt < 10 && !woken; ++attempt) {
+    const std::uint64_t before = registry_.counter_value(metrics_.loop_woken);
+    std::this_thread::sleep_for(std::chrono::milliseconds(5));
+    ASSERT_TRUE(c.send(tx));
+    ASSERT_TRUE(c.recv_frame(&h, &payload)) << "request after the gap";
+    EXPECT_EQ(h.opcode, static_cast<std::uint8_t>(Op::kLookupResp));
+    woken = registry_.counter_value(metrics_.loop_woken) > before;
+  }
+  EXPECT_TRUE(woken) << "no request after a 5 ms gap reached a blocking wait";
+  server_->stop();
+}
+
+// A client streaming requests back to back keeps a fast build's loop
+// polling; stop() must still end the loop at once and close the client.
+TEST_P(ServerTest, StopIsPromptWhileAClientStreams) {
+  start();
+  TestClient c(server_->port());
+  ASSERT_TRUE(c.ok());
+  std::atomic<int> answered{0};
+  std::atomic<bool> client_done{false};
+  std::thread client([&] {
+    std::vector<std::uint8_t> tx;
+    encode_lookup(tx, 2);
+    FrameHeader h;
+    std::vector<std::uint8_t> payload;
+    while (c.send(tx) && c.recv_frame(&h, &payload))
+      answered.fetch_add(1, std::memory_order_relaxed);
+    client_done.store(true, std::memory_order_release);
+  });
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (answered.load(std::memory_order_relaxed) < 200 &&
+         !client_done.load(std::memory_order_acquire) &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_GE(answered.load(std::memory_order_relaxed), 200);
+
+  const auto t0 = std::chrono::steady_clock::now();
+  server_->stop();
+  const auto took = std::chrono::steady_clock::now() - t0;
+  client.join();
+  EXPECT_FALSE(server_->running());
+  EXPECT_LT(took, std::chrono::seconds(1));
+  EXPECT_TRUE(c.closed_by_server()) << "client timed out instead of seeing EOF";
 }
 
 INSTANTIATE_TEST_SUITE_P(Backends, ServerTest, ::testing::Values(false, true),

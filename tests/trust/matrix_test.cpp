@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+
+#include "common/rng.hpp"
 
 namespace gt::trust {
 namespace {
@@ -68,6 +72,73 @@ TEST(SparseMatrix, EmptyRowStaysEmptyAfterNormalize) {
   EXPECT_TRUE(s.row(2).empty());
   const auto empty = s.empty_rows();
   EXPECT_EQ(empty, (std::vector<NodeId>{1, 2}));
+}
+
+// Each row of `s` must be the same row of `raw` divided by raw.row_sum(r),
+// bit for bit, and the rows of `raw` that sum to <= 0 must come out empty.
+void expect_normalized_bitwise(const SparseMatrix& s, const SparseMatrix& raw) {
+  ASSERT_EQ(s.size(), raw.size());
+  std::size_t nonzeros = 0;
+  for (NodeId r = 0; r < raw.size(); ++r) {
+    const double sum = raw.row_sum(r);
+    const auto want = raw.row(r);
+    const auto got = s.row(r);
+    if (sum <= 0.0) {
+      EXPECT_TRUE(got.empty()) << "row " << r << " sums to " << sum;
+      continue;
+    }
+    ASSERT_EQ(got.size(), want.size()) << "row " << r;
+    nonzeros += got.size();
+    for (std::size_t k = 0; k < got.size(); ++k) {
+      EXPECT_EQ(got[k].col, want[k].col) << "row " << r;
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(got[k].value),
+                std::bit_cast<std::uint64_t>(want[k].value / sum))
+          << "row " << r << " entry " << k;
+    }
+  }
+  EXPECT_EQ(s.nonzeros(), nonzeros);
+}
+
+// S built in place from R (the rvalue overload) and the copying overload
+// both match that oracle, so they match each other bit for bit.
+TEST(SparseMatrix, InPlaceRowNormalizeMatchesCopy) {
+  std::vector<SparseMatrix> cases;
+  {  // empty first and last rows; zero-sum and negative-sum rows between
+    SparseMatrix::Builder b(6);
+    b.add(1, 0, 0.1);
+    b.add(1, 3, 0.7);
+    b.add(1, 5, 1.0 / 3.0);
+    b.add(2, 0, 1.0);
+    b.add(2, 4, -1.0);  // sums to 0
+    b.add(3, 1, -2.0);
+    b.add(3, 2, 0.5);  // sums to -1.5
+    b.add(4, 0, 3.0);
+    b.add(4, 5, 0.2);
+    cases.push_back(std::move(b).build());
+  }
+  {  // n = 1, with and without its one entry
+    SparseMatrix::Builder one(1);
+    one.add(0, 0, 2.5);
+    cases.push_back(std::move(one).build());
+    cases.push_back(SparseMatrix::Builder(1).build());
+  }
+  {  // random weights, some rows non-positive, some empty
+    gt::Rng rng(23);
+    constexpr std::size_t kN = 50;
+    SparseMatrix::Builder b(kN);
+    for (NodeId r = 0; r < kN; ++r) {
+      if (r % 7 == 0) continue;
+      const double sign = r % 5 == 0 ? -1.0 : 1.0;
+      for (NodeId c = 0; c < kN; ++c)
+        if (rng.next_below(4) == 0) b.add(r, c, sign * rng.next_double(1e-3, 1.0));
+    }
+    cases.push_back(std::move(b).build());
+  }
+  for (const SparseMatrix& m : cases) {
+    SparseMatrix copy = m;
+    expect_normalized_bitwise(std::move(copy).row_normalized(), m);
+    expect_normalized_bitwise(m.row_normalized(), m);
+  }
 }
 
 TEST(SparseMatrix, IsRowStochasticDetectsViolation) {
