@@ -1,6 +1,9 @@
 #include "common/thread_pool.hpp"
 
+#include <pthread.h>
 #include <sched.h>
+
+#include <cstdio>
 
 namespace gt {
 
@@ -17,9 +20,22 @@ std::size_t available_cpus() noexcept {
 
 ThreadPool::ThreadPool(std::size_t num_threads) {
   if (num_threads == 0) num_threads = available_cpus();
+  cpu_set_t mask;
+  CPU_ZERO(&mask);
+  if (num_threads > 1 && ::sched_getaffinity(0, sizeof(mask), &mask) == 0 &&
+      static_cast<std::size_t>(CPU_COUNT(&mask)) == num_threads) {
+    for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu)
+      if (CPU_ISSET(cpu, &mask)) cpus_.push_back(cpu);
+  }
+  placed_skip_ = cpus_.size();
   workers_.reserve(num_threads - 1);
-  for (std::size_t t = 0; t + 1 < num_threads; ++t)
+  for (std::size_t t = 0; t + 1 < num_threads; ++t) {
     workers_.emplace_back([this] { worker_loop(); });
+    char name[32];
+    std::snprintf(name, sizeof(name), "gt-lane%zu", t + 1);
+    name[15] = '\0';  // a thread name holds 15 characters
+    ::pthread_setname_np(workers_.back().native_handle(), name);
+  }
 }
 
 ThreadPool::~ThreadPool() {
@@ -29,6 +45,34 @@ ThreadPool::~ThreadPool() {
   }
   cv_work_.notify_all();
   for (auto& w : workers_) w.join();
+}
+
+void ThreadPool::place_workers() {
+  if (cpus_.empty()) return;
+  const int caller = ::sched_getcpu();
+  std::size_t skip = cpus_.size() - 1;  // a caller outside the mask
+  for (std::size_t i = 0; i < cpus_.size(); ++i)
+    if (cpus_[i] == caller) skip = i;
+  if (skip == placed_skip_) return;
+  const bool placed = placed_skip_ < cpus_.size();
+  for (std::size_t t = 0; t < workers_.size(); ++t) {
+    const std::size_t want = t < skip ? t : t + 1;
+    if (placed && want == (t < placed_skip_ ? t : t + 1)) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpus_[want], &one);
+    if (::pthread_setaffinity_np(workers_[t].native_handle(), sizeof(one), &one) != 0) {
+      // Back to the creation mask, for good.
+      cpu_set_t all;
+      CPU_ZERO(&all);
+      for (const int cpu : cpus_) CPU_SET(cpu, &all);
+      for (auto& w : workers_)
+        ::pthread_setaffinity_np(w.native_handle(), sizeof(all), &all);
+      cpus_.clear();
+      return;
+    }
+  }
+  placed_skip_ = skip;
 }
 
 std::size_t ThreadPool::claim_and_run(const ChunkFn* fn, std::size_t begin,
@@ -88,6 +132,7 @@ void ThreadPool::parallel_for(std::size_t begin, std::size_t end,
     // Wait out stragglers from a previous generation before re-arming the
     // claim counter; see the in_flight_ note in worker_loop.
     cv_done_.wait(lk, [&] { return in_flight_ == 0; });
+    place_workers();
     fn_ = &fn;
     begin_ = begin;
     end_ = end;

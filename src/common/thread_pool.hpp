@@ -1,21 +1,34 @@
 // Reusable fixed-size thread pool with a deterministic parallel_for.
 //
-// The pool exists for the gossip hot path: phases that are embarrassingly
-// parallel across nodes (route selection, inbox gather, consensus
-// read-out) are expressed as a chunked loop over an index range. The
-// partition of [begin, end) into chunks is a pure function of (range,
-// num_chunks) — never of thread count, scheduling order, or timing — so a
-// caller that needs bit-identical floating-point results across thread
-// counts only has to pick a fixed chunk grid and merge per-chunk partials
-// in chunk order. Which worker executes which chunk is decided dynamically
-// (atomic claim counter), which affects nothing observable.
+// The pool runs the kernels' lane-parallel phases: VectorGossip's column
+// blocks (their gossip steps, the seeding in initialize() and the
+// consensus read-out) and ShardedGossip's windows (drain, then execute).
+// Each is a chunked loop over an index range. The partition of
+// [begin, end) into chunks is a pure function of (range, num_chunks) —
+// never of thread count, scheduling order, or timing — so a caller that
+// needs bit-identical floating-point results across thread counts only
+// has to pick a fixed chunk grid and merge per-chunk partials in chunk
+// order. Which worker executes which chunk is decided dynamically (atomic
+// claim counter), which affects nothing observable.
 //
 // The calling thread participates as a worker, so ThreadPool(1) spawns no
 // threads and parallel_for degenerates to an inline serial loop over the
-// same chunk grid.
+// same chunk grid. Worker k (k = 1, 2, ...) is named `gt-lane<k>`, so
+// `top -H`, a trace or /proc/<pid>/task/*/comm can find it.
 //
 // ThreadPool(0) takes one lane per CPU the calling thread may run on
 // (available_cpus()), so `taskset` and cpusets size the pool.
+//
+// Placement. A pool with exactly one lane per CPU of the affinity mask it
+// was created under (ThreadPool(0), or VectorGossip's pool whenever its
+// lanes equal the CPUs) pins each worker to one CPU of that mask. Before
+// each parallel_for it reads the caller's CPU (sched_getcpu()) and keeps
+// every worker off it: worker k takes the k-th CPU of the mask other than
+// the caller's. It calls pthread_setaffinity_np only when that assignment
+// changes, and a pool whose call fails goes back to the full mask for
+// good. The caller itself is never pinned. Left to the scheduler, two
+// lanes woken together can share one CPU for a whole cold aggregation
+// while the other CPU idles (EXPERIMENTS § PLACE); pinned, they cannot.
 #pragma once
 
 #include <algorithm>
@@ -85,10 +98,20 @@ class ThreadPool {
 
  private:
   void worker_loop();
+  /// Pinned pools only: moves the workers off the caller's current CPU
+  /// when it differs from the one they were last placed around. Called
+  /// under mu_ with no worker in flight.
+  void place_workers();
   std::size_t claim_and_run(const ChunkFn* fn, std::size_t begin,
                             std::size_t end, std::size_t num_chunks);
 
   std::vector<std::thread> workers_;
+
+  // The creation mask's CPUs when the pool is pinned (one lane per CPU),
+  // else empty; and the index in cpus_ of the CPU the workers were last
+  // placed around (cpus_.size(): not placed yet).
+  std::vector<int> cpus_;
+  std::size_t placed_skip_ = 0;
 
   std::mutex mu_;
   std::condition_variable cv_work_;

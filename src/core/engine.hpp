@@ -141,8 +141,9 @@ class GossipTrustEngine {
   std::size_t n_;
   GossipTrustConfig config_;
   // The gossip kernel and its worker lanes: built by the first cycle, then
-  // re-initialized by every cycle (2 n^2 doubles of state plus one n x B
-  // slab pair per lane, allocated once per engine).
+  // re-initialized by every cycle (2 n^2 doubles of state, updated in
+  // place, plus each lane's sender pointers, parked rows and one old row,
+  // allocated once per engine).
   std::optional<gossip::VectorGossip> gossip_;
   telemetry::EventLog* events_ = nullptr;
   std::size_t step_sample_every_ = 0;

@@ -57,7 +57,7 @@ struct VectorGossip::Schedule {
         triplets(kWindow * nblocks),
         block_seconds(kWindow * nblocks),
         target(n),
-        mark(n),
+        order_scratch(n),
         changed(n),
         reached(nblocks) {}
 
@@ -75,51 +75,46 @@ struct VectorGossip::Schedule {
   std::vector<double> block_seconds;      // per block
 
   std::vector<std::uint32_t> target;  // draw scratch: delivered target or kNoTarget
-  std::vector<std::uint8_t> mark;     // draw scratch for inplace_order
+  std::vector<std::uint32_t> order_scratch;  // draw scratch for inplace_order
   std::vector<NodeId> changed;  // commit scratch: rows whose support grew
   std::vector<std::size_t> reached;  // per block, this round
-  std::mutex mu;  // serializes draws: node_rng_, `target`, `mark` and the drawn slot
+  // Held by the lane that draws: node_rng_, the draw scratch and the slots
+  // past `drawn`. Lanes only try it, and spin on `drawn` while it is taken.
+  std::mutex mu;
   std::atomic<std::size_t> drawn{0};  // steps drawn since initialize
 };
 
 std::size_t inplace_order(std::span<const std::uint32_t> target,
                           std::span<const std::uint32_t> in_off,
-                          std::span<const std::uint32_t> in_senders,
                           std::span<std::uint32_t> order,
-                          std::span<std::uint8_t> mark) {
+                          std::span<std::uint32_t> scratch) {
   const std::size_t n = target.size();
-  constexpr std::uint8_t kOnWalk = 1, kWalked = 2, kPlaced = 3;
-  std::fill(mark.begin(), mark.end(), 0);
-  // Every cycle of the target map is entered by exactly one walk: the
-  // first node that walk meets twice becomes the cycle's detached node.
-  std::size_t m = 0;
+  std::uint32_t* indeg = scratch.data();
+  // Peel the nodes nobody pushed to, then the nodes whose pushers are all
+  // peeled: each is written after its target, so the peel sequence,
+  // reversed, fills the tail. order[tail, n) doubles as the peel queue.
+  std::size_t tail = n;
+  for (std::size_t v = 0; v < n; ++v) {
+    indeg[v] = in_off[v + 1] - in_off[v];
+    if (indeg[v] == 0) order[--tail] = static_cast<std::uint32_t>(v);
+  }
+  for (std::size_t q = n; q > tail;) {
+    const std::uint32_t t = target[order[--q]];
+    if (t != kNoTarget && --indeg[t] == 0) order[--tail] = t;
+  }
+  // What is left is the target map's cycles, each node pushed to by its
+  // cycle predecessor only. The first node met on a cycle is detached and
+  // goes to the front; the others, walked from it, fill [m, tail) from
+  // the top down, so each comes after its target (the last one's target
+  // is the detached node).
+  std::size_t m = 0, top = tail;
   for (std::size_t u = 0; u < n; ++u) {
-    std::uint32_t v = static_cast<std::uint32_t>(u);
-    while (v != kNoTarget && mark[v] == 0) {
-      mark[v] = kOnWalk;
-      v = target[v];
-    }
-    if (v != kNoTarget && mark[v] == kOnWalk) order[m++] = v;
-    for (v = static_cast<std::uint32_t>(u); v != kNoTarget && mark[v] == kOnWalk;
-         v = target[v])
-      mark[v] = kWalked;
-  }
-  std::size_t len = m;
-  for (std::size_t k = 0; k < m; ++k) mark[order[k]] = kPlaced;
-  for (std::size_t i = 0; i < n; ++i) {
-    if (target[i] != kNoTarget) continue;
-    order[len++] = static_cast<std::uint32_t>(i);
-    mark[i] = kPlaced;
-  }
-  // Breadth-first through the receiver buckets: a sender follows its
-  // receiver. Only a detached node can already be placed.
-  for (std::size_t k = 0; k < len; ++k) {
-    const std::uint32_t r = order[k];
-    for (std::size_t q = in_off[r]; q < in_off[r + 1]; ++q) {
-      const std::uint32_t s = in_senders[q];
-      if (mark[s] == kPlaced) continue;
-      mark[s] = kPlaced;
-      order[len++] = s;
+    if (indeg[u] == 0) continue;
+    order[m++] = static_cast<std::uint32_t>(u);
+    indeg[u] = 0;
+    for (std::uint32_t v = target[u]; v != u; v = target[v]) {
+      order[--top] = v;
+      indeg[v] = 0;
     }
   }
   return m;
@@ -253,8 +248,6 @@ void VectorGossip::set_adversary(std::span<const double> x_scale,
 void VectorGossip::initialize(const trust::SparseMatrix& s, std::span<const double> v) {
   if (s.size() != n_ || v.size() != n_)
     throw std::invalid_argument("VectorGossip::initialize: size mismatch");
-  std::fill(x_.begin(), x_.end(), 0.0);
-  std::fill(w_.begin(), w_.end(), 0.0);
   std::fill(support_.begin(), support_.end(), 0);
   std::fill(support_size_.begin(), support_size_.end(), 0);
   full_rows_ = 0;
@@ -262,34 +255,54 @@ void VectorGossip::initialize(const trust::SparseMatrix& s, std::span<const doub
   stable_steps_ = 0;
   sched_->drawn.store(0);
 
-  const double uniform = 1.0 / static_cast<double>(n_);
   for (NodeId i = 0; i < n_; ++i) {
     if (!is_alive(i)) continue;  // departed peers inject no reports
     std::uint64_t* bits = support_.data() + i * words_;
     const auto set_bit = [bits](NodeId j) { bits[j / 64] |= 1ULL << (j % 64); };
     const auto entries = s.row(i);
     if (entries.empty()) {
-      // Dangling rater: its reputation mass spreads uniformly, the same
-      // rule SparseMatrix::transpose_multiply applies. The row starts (and
-      // stays) structurally dense.
-      const double share = v[i] * uniform;
-      for (NodeId j = 0; j < n_; ++j) {
-        x_[at(i, j)] = share;
-        set_bit(j);
-      }
+      // Dangling rater: its reputation mass spreads uniformly (below), so
+      // the row starts (and stays) structurally dense.
+      for (NodeId j = 0; j < n_; ++j) set_bit(j);
     } else {
-      for (const auto& e : entries) {
-        x_[at(i, e.col)] = e.value * v[i];
-        set_bit(e.col);
-      }
+      for (const auto& e : entries) set_bit(e.col);
       set_bit(i);
     }
-    w_[at(i, i)] = 1.0;  // only node j holds the consensus factor for j
     std::size_t size = 0;
     for (std::size_t k = 0; k < words_; ++k) size += std::popcount(bits[k]);
     support_size_[i] = static_cast<std::uint32_t>(size);
     if (size == n_) ++full_rows_;
   }
+
+  // The lanes zero and seed the blocks on advance()'s chunk grid. The
+  // caller, already running, usually claims the first chunk of both and a
+  // woken worker the next, so with pinned lanes a block mostly starts its
+  // first step in the cache of the lane that steps it.
+  const double uniform = 1.0 / static_cast<double>(n_);
+  for_chunks(nblocks_, lanes(), [&](std::size_t b0, std::size_t b1, std::size_t) {
+    for (std::size_t b = b0; b < b1; ++b) {
+      const std::size_t c0 = block_begin(b);
+      const std::size_t cols = block_cols(b);
+      double* bx = x_.data() + c0 * n_;
+      double* bw = w_.data() + c0 * n_;
+      std::fill_n(bx, n_ * cols, 0.0);
+      std::fill_n(bw, n_ * cols, 0.0);
+      for (NodeId i = 0; i < n_; ++i) {
+        if (!is_alive(i)) continue;
+        const auto entries = s.row(i);
+        if (entries.empty()) {
+          // The rule SparseMatrix::transpose_multiply applies to a
+          // dangling rater.
+          std::fill_n(bx + i * cols, cols, v[i] * uniform);
+        } else {
+          for (const auto& e : entries)
+            if (e.col - c0 < cols) bx[i * cols + (e.col - c0)] = e.value * v[i];
+        }
+        // Only node j holds the consensus factor for j.
+        if (i - c0 < cols) bw[i * cols + (i - c0)] = 1.0;
+      }
+    }
+  });
 }
 
 void VectorGossip::seed_streams(std::uint64_t base) {
@@ -299,11 +312,19 @@ void VectorGossip::seed_streams(std::uint64_t base) {
 
 void VectorGossip::ensure_drawn(std::size_t t, const graph::Graph* overlay) {
   Schedule& sc = *sched_;
-  if (sc.drawn.load() >= t) return;
-  const std::lock_guard<std::mutex> lock(sc.mu);
-  for (std::size_t d = sc.drawn.load(); d < t; ++d) {
-    draw_step(d + 1, overlay);
-    sc.drawn.store(d + 1);
+  // A draw takes a few microseconds, less than a sleep and a wake-up, so
+  // a lane that finds another one drawing spins (yielding, in case the
+  // drawer shares its CPU) until the step it needs is out.
+  while (sc.drawn.load() < t) {
+    if (!sc.mu.try_lock()) {
+      ::sched_yield();
+      continue;
+    }
+    for (std::size_t d = sc.drawn.load(); d < t; ++d) {
+      draw_step(d + 1, overlay);
+      sc.drawn.store(d + 1);
+    }
+    sc.mu.unlock();
   }
 }
 
@@ -388,9 +409,9 @@ void VectorGossip::draw_step(std::size_t t, const graph::Graph* overlay) {
   // right to recover [start, end) ranges.
   for (std::size_t k = n_; k >= 1; --k) in_off[k] = in_off[k - 1];
   in_off[0] = 0;
-  sc.detached[slot] = static_cast<std::uint32_t>(inplace_order(
-      sc.target, {in_off, n_ + 1}, {in_senders, n_},
-      {sc.order.data() + slot * n_, n_}, sc.mark));
+  sc.detached[slot] = static_cast<std::uint32_t>(
+      inplace_order(sc.target, {in_off, n_ + 1},
+                    {sc.order.data() + slot * n_, n_}, sc.order_scratch));
 
   sc.sent[slot] = sent;
   sc.lost[slot] = lost;
@@ -426,6 +447,10 @@ bool VectorGossip::block_step(std::size_t b, std::size_t t, Lane& lane) {
   // Another block may already have found this step unstable; then the
   // verdict is settled and this block skips its check.
   bool stable = sc.unstable[slot].load() == 0;
+  // Where the kernel set has it, a row without fix-ups gets its verdict
+  // from the gather itself (gather_row_stable), old row unread and uncopied.
+  const bool fusable = kn_->gather_row_stable != nullptr && adv_scale_.empty() &&
+                       (!masked || block_live_cols_[b].size() == cols);
   std::uint64_t triplets = 0;
   // Rows are written in the step's in-place order, so every row a gather
   // reads still holds its old value: a sender's row is overwritten only
@@ -464,16 +489,24 @@ bool VectorGossip::block_step(std::size_t b, std::size_t t, Lane& lane) {
       pw[k] = bw + s * cols;
       ++k;
     }
+    const bool fused = stable && fusable && !refold;
     if (pos < detached) {
       rx = lane.parked.get() + pos * 2 * cols;
       rw = rx + cols;
-    } else if (stable || refold) {
+    } else if ((stable && !fused) || refold) {
       std::copy_n(xr, cols, old_x);
       std::copy_n(wr, cols, old_w);
       xr = old_x;
       wr = old_w;
     }
     // The payload count reads the old row: what this node pushes now.
+    if (fused) {
+      const simd::GatherVerdict g = kn_->gather_row_stable(
+          rx, rw, xr, wr, keep, px, pw, k, withholder ? 0.0 : h, floor, eps, cols);
+      triplets += g.payload;
+      stable = g.stable;
+      continue;
+    }
     triplets += kn_->gather_row(rx, rw, xr, wr, self_wh ? 1.0 : keep, px, pw,
                                 k, withholder ? 0.0 : h, cols);
 

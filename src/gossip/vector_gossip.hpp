@@ -19,24 +19,34 @@
 // its node pushed to has read it. The pushes form a target map; every
 // cycle of it gets one *detached* node, whose new row is parked aside
 // until the step's other rows are written, so its receiver still reads
-// the old row. The order lists the detached nodes first, then the nodes
-// that pushed nowhere (idle, lost and departed), then runs breadth-first
-// from them through the ascending receiver buckets, so every other node
-// comes after its target. Per-lane scratch is the sender pointers, the
+// the old row. The order is built in O(n) from the in-degrees: the nodes
+// nobody pushed to are peeled off, then those whose pushers are all
+// peeled, and the reversed peel sequence fills the tail; what remains is
+// the cycles, each with its detached node at the front and its other
+// nodes walked from it. Per-lane scratch is the sender pointers, the
 // parked rows (reserved for n / 2 and touched only as used) and one old
 // row, copied aside only where something reads it after the gather.
+// The lane that needs an undrawn step draws it; a lane that needs a step
+// another lane is drawing spins on the drawn count instead of sleeping.
 //
 // The gather is one dense sweep per row: keep-half plus the received
 // halves folded in ascending sender order, the payload counted from the
-// old row as it is loaded, then the stability check against the row's
-// old copy while the row is still in L1. A row is exactly 0 outside
-// its support (the components it has heard of), so adding 0.5 x 0 there
-// changes no bit and no sparse path is needed; at n = 512 the row-major
-// kernel's sparse union gather cost ~6.5 ns per active element against
-// ~2.9 ns per element for a dense sweep from L3. Supports depend only on the schedule, so the counts
-// a real node reports — `active_triplets` and `zero_components_skipped`,
-// the structural zeros it would not put on the wire — come from per-row
-// bitmaps updated with the schedule.
+// old row as it is loaded. A row is exactly 0 outside its support (the
+// components it has heard of), so adding 0.5 x 0 there changes no bit
+// and no sparse path is needed; at n = 512 the row-major kernel's sparse
+// union gather cost ~6.5 ns per active element against ~2.9 ns per
+// element for a dense sweep from L3. Supports depend only on the
+// schedule, so the counts a real node reports — `active_triplets` and
+// `zero_components_skipped`, the structural zeros it would not put on
+// the wire — come from per-row bitmaps updated with the schedule.
+//
+// The stability verdict. At AVX2 and AVX-512, a row with no withholder
+// fix-up and no liar scaling, in a block whose columns are all live,
+// gets its verdict from the gather (gather_row_stable): the kernel
+// compares |x'w - xw'| with eps·w·w' on the values it loads and stores,
+// and the exact ratio test decides only the elements within a proven
+// rounding margin (kernels.hpp). Other rows, and every row at scalar and
+// NEON, copy the old row aside and run row_stable after the gather.
 //
 // Convergence is one bit per step: "every live node stable for R
 // consecutive steps" is exactly "R consecutive steps on which every live
@@ -52,8 +62,12 @@
 //
 // Lanes of a gt::ThreadPool own whole blocks, so the kernel runs at most
 // one lane per block: at most 4 at n = 512 on a 2 MiB L2, where blocks are
-// 128 columns wide. Every floating-point accumulation order is fixed by
-// node ids and never by scheduling, and counters, trace records and
+// 128 columns wide. initialize() zeroes and seeds the blocks on the lanes,
+// on the chunk grid that steps them (the supports are built serially
+// first), and a pool with one lane per CPU pins its workers
+// (thread_pool.hpp), so a block mostly starts its first step in the L2 of
+// the lane that steps it. Every floating-point accumulation order is
+// fixed by node ids and never by scheduling, and counters, trace records and
 // event-log records are assembled per step in step order, so results are
 // bit-identical for any thread count, including the serial
 // num_threads == 1 path. With more than one lane, each lane yields its
@@ -85,17 +99,17 @@ namespace gt::gossip {
 /// lost or departed).
 inline constexpr std::uint32_t kNoTarget = 0xffffffffu;
 
-/// The in-place write order of one synchronous step. `target[i]` is the
-/// node that received i's push, or kNoTarget; (in_off, in_senders) are the
-/// receiver buckets of the delivered pushes (n + 1 offsets, senders
-/// ascending). Writes a permutation of the n nodes to `order` and returns
-/// m: order[0, m) holds one detached node per cycle of the target map, and
-/// every other node comes after its target. `mark` is n bytes of scratch.
+/// The in-place write order of one synchronous step, in O(n). `target[i]`
+/// is the node that received i's push, or kNoTarget; `in_off` holds the
+/// n + 1 offsets of the receiver buckets of the delivered pushes (so node
+/// v was pushed to in_off[v + 1] - in_off[v] times). Writes a permutation
+/// of the n nodes to `order` and returns m: order[0, m) holds one detached
+/// node per cycle of the target map, and every other node comes after its
+/// target. `scratch` is n words.
 std::size_t inplace_order(std::span<const std::uint32_t> target,
                           std::span<const std::uint32_t> in_off,
-                          std::span<const std::uint32_t> in_senders,
                           std::span<std::uint32_t> order,
-                          std::span<std::uint8_t> mark);
+                          std::span<std::uint32_t> scratch);
 
 /// Outcome of one vector-gossip convergence (one aggregation cycle's worth
 /// of gossip steps).

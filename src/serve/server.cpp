@@ -5,6 +5,7 @@
 #include <netinet/in.h>
 #include <netinet/tcp.h>
 #include <poll.h>
+#include <pthread.h>
 #include <sched.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -227,7 +228,10 @@ bool Server::start(std::string* error) {
   set_nonblocking(wake_wr_);
 
   running_.store(true, std::memory_order_release);
-  thread_ = std::thread([this] { run_loop(); });
+  thread_ = std::thread([this] {
+    ::pthread_setname_np(::pthread_self(), "gt-serve");
+    run_loop();
+  });
   return true;
 }
 

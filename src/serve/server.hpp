@@ -1,15 +1,16 @@
 // serve::Server — the live reputation service's socket front end.
 //
-// A non-blocking TCP server on one event-loop thread. On Linux the loop is
-// epoll-based (level-triggered); everywhere else — or when forced via
-// ServerConfig::use_poll — it falls back to poll(2) with identical
-// semantics. Each accepted connection owns a ConnectionHandler (fixed-size
-// frame parsing, no per-request allocation once buffers are warm) and a tx
-// buffer flushed opportunistically after handling and completed via
-// EPOLLOUT/POLLOUT when the socket back-pressures. Connections whose unsent
-// tx backlog crosses ServerConfig::tx_high_watermark stop being read until
-// it drains below tx_low_watermark, so a client that pipelines requests
-// without consuming responses cannot grow server memory without bound.
+// A non-blocking TCP server on one event-loop thread, named `gt-serve`.
+// On Linux the loop is epoll-based (level-triggered); everywhere else — or
+// when forced via ServerConfig::use_poll — it falls back to poll(2) with
+// identical semantics. Each accepted connection owns a ConnectionHandler
+// (fixed-size frame parsing, no per-request allocation once buffers are
+// warm) and a tx buffer flushed opportunistically after handling and
+// completed via EPOLLOUT/POLLOUT when the socket back-pressures.
+// Connections whose unsent tx backlog crosses
+// ServerConfig::tx_high_watermark stop being read until it drains below
+// tx_low_watermark, so a client that pipelines requests without consuming
+// responses cannot grow server memory without bound.
 //
 // The wait rule. Handling a request takes well under a microsecond, so a
 // loop that blocks between requests spends most of each one's latency on

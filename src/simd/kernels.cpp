@@ -13,7 +13,9 @@
 
 #include "simd/kernels.hpp"
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 
 #if defined(__x86_64__) || defined(_M_X64)
 #include <immintrin.h>
@@ -93,11 +95,14 @@ void ratio_accumulate_scalar(double* acc, std::uint32_t* cnt, const double* x,
 
 /// Elements [i0, n) of gather_row: the definition every level reproduces.
 /// The payload is counted from the loaded old values, so nx may equal x.
+/// With `stable` non-null, a true *stable becomes false at the first
+/// element that element_stable finds unstable (gather_row_stable's tail).
 std::uint64_t gather_row_part(double* nx, double* nw, const double* x,
                               const double* w, double keep,
                               const double* const* sx, const double* const* sw,
                               std::size_t k, double h, std::size_t i0,
-                              std::size_t n) {
+                              std::size_t n, bool* stable = nullptr,
+                              double floor = 0.0, double eps = 0.0) {
   const bool count_payload = h != 0.0;
   std::uint64_t count = 0;
   for (std::size_t i = i0; i < n; ++i) {
@@ -112,6 +117,8 @@ std::uint64_t gather_row_part(double* nx, double* nw, const double* x,
     if (count_payload) count += (h * xo != 0.0 || h * wo != 0.0) ? 1u : 0u;
     nx[i] = vx;
     nw[i] = vw;
+    if (stable != nullptr && *stable)
+      *stable = element_stable(vx, vw, xo, wo, floor, eps);
   }
   return count;
 }
@@ -129,7 +136,7 @@ const Kernels kScalarKernels = {
     scale_assign_scalar,    accumulate_scaled_scalar,
     add_scalar,             row_stable_scalar,
     residual_keep_scalar,   ratio_accumulate_scalar,
-    gather_row_scalar,
+    gather_row_scalar,      nullptr,
 };
 
 // ---------------------------------------------------------------------------
@@ -140,6 +147,31 @@ const Kernels kScalarKernels = {
 #ifdef GT_SIMD_X86
 
 #define GT_AVX2 __attribute__((target("avx2")))
+
+// The division-free verdict's ranges and margin (kernels.hpp has the
+// proof). An eps outside its range sets the weight bound to +inf, so no
+// element qualifies and element_stable decides them all.
+constexpr double kVerdictWeightMin = 0x1p-400;
+constexpr double kVerdictMax = 0x1p400;
+constexpr double kVerdictMargin = 0x1p-48;  // 32u
+
+double verdict_weight_bound(double floor, double eps) {
+  const bool eps_in_range = eps >= 0x1p-100 && eps <= 0x1p100;
+  return eps_in_range ? std::max(floor, kVerdictWeightMin)
+                      : std::numeric_limits<double>::infinity();
+}
+
+/// element_stable over the lanes of one vector that the division-free
+/// test left open (`open` bit j set): new values from the stored row,
+/// old ones as loaded.
+bool open_lanes_stable(unsigned open, const double* nx, const double* nw,
+                       const double* xo, const double* wo, double floor,
+                       double eps) {
+  for (unsigned j = 0; open != 0; ++j, open >>= 1)
+    if ((open & 1u) && !element_stable(nx[j], nw[j], xo[j], wo[j], floor, eps))
+      return false;
+  return true;
+}
 
 GT_AVX2 void halve_avx2(double* x, std::size_t n) {
   const __m256d half = _mm256_set1_pd(0.5);
@@ -319,12 +351,94 @@ GT_AVX2 std::uint64_t gather_row_avx2(double* nx, double* nw, const double* x,
   return count + gather_row_part(nx, nw, x, w, keep, sx, sw, k, h, i, n);
 }
 
+// The fused kernels call the scalar helpers (open lanes, the row's tail)
+// only after _mm256_zeroupper(): they are SSE code, and SSE code run with
+// the upper register halves dirty paid an AVX-SSE transition that made a
+// 128-column row cost 2.4x as much (~300 against ~125 ns at AVX-512).
+
+GT_AVX2 GatherVerdict gather_row_stable_avx2(
+    double* nx, double* nw, const double* x, const double* w, double keep,
+    const double* const* sx, const double* const* sw, std::size_t k, double h,
+    double floor, double eps, std::size_t n) {
+  const __m256d kv = _mm256_set1_pd(keep);
+  const __m256d half = _mm256_set1_pd(0.5);
+  const __m256d hv = _mm256_set1_pd(h);
+  const __m256d zero = _mm256_setzero_pd();
+  const __m256d absmask =
+      _mm256_castsi256_pd(_mm256_set1_epi64x(0x7fffffffffffffffLL));
+  const __m256d wlo = _mm256_set1_pd(verdict_weight_bound(floor, eps));
+  const __m256d big = _mm256_set1_pd(kVerdictMax);
+  const __m256d epsv = _mm256_set1_pd(eps);
+  const __m256d margin = _mm256_set1_pd(kVerdictMargin);
+  const bool count_payload = h != 0.0;
+  std::uint64_t count = 0;
+  bool stable = true;
+  std::size_t i = 0;
+  for (; i + 4 <= n; i += 4) {
+    const __m256d xo = _mm256_loadu_pd(x + i);
+    const __m256d wo = _mm256_loadu_pd(w + i);
+    __m256d vx = _mm256_mul_pd(xo, kv);
+    __m256d vw = _mm256_mul_pd(wo, kv);
+    for (std::size_t s = 0; s < k; ++s) {
+      vx = _mm256_add_pd(vx, _mm256_mul_pd(_mm256_loadu_pd(sx[s] + i), half));
+      vw = _mm256_add_pd(vw, _mm256_mul_pd(_mm256_loadu_pd(sw[s] + i), half));
+    }
+    _mm256_storeu_pd(nx + i, vx);
+    _mm256_storeu_pd(nw + i, vw);
+    if (count_payload) {
+      const __m256d nz = _mm256_or_pd(
+          _mm256_cmp_pd(_mm256_mul_pd(hv, xo), zero, _CMP_NEQ_UQ),
+          _mm256_cmp_pd(_mm256_mul_pd(hv, wo), zero, _CMP_NEQ_UQ));
+      count += static_cast<unsigned>(__builtin_popcount(_mm256_movemask_pd(nz)));
+    }
+    if (!stable) continue;
+    // The division-free test (kernels.hpp): D = |x'w - xw'| against
+    // E = eps·w·w', with the margin M.
+    const __m256d a = _mm256_mul_pd(vx, wo);
+    const __m256d b = _mm256_mul_pd(xo, vw);
+    const __m256d d = _mm256_and_pd(_mm256_sub_pd(a, b), absmask);
+    const __m256d e = _mm256_mul_pd(_mm256_mul_pd(epsv, wo), vw);
+    const __m256d m = _mm256_mul_pd(
+        margin, _mm256_add_pd(_mm256_add_pd(_mm256_and_pd(a, absmask),
+                                            _mm256_and_pd(b, absmask)),
+                              e));
+    // In range: weights in (wlo, 2^400], masses at most 2^400 (OQ compares
+    // are false on NaN, so a NaN anywhere leaves the lane open).
+    const __m256d in_range = _mm256_and_pd(
+        _mm256_and_pd(_mm256_and_pd(_mm256_cmp_pd(wo, wlo, _CMP_GT_OQ),
+                                    _mm256_cmp_pd(wo, big, _CMP_LE_OQ)),
+                      _mm256_and_pd(_mm256_cmp_pd(vw, wlo, _CMP_GT_OQ),
+                                    _mm256_cmp_pd(vw, big, _CMP_LE_OQ))),
+        _mm256_and_pd(
+            _mm256_cmp_pd(_mm256_and_pd(xo, absmask), big, _CMP_LE_OQ),
+            _mm256_cmp_pd(_mm256_and_pd(vx, absmask), big, _CMP_LE_OQ)));
+    if (_mm256_movemask_pd(_mm256_and_pd(
+            in_range, _mm256_cmp_pd(d, _mm256_add_pd(e, m), _CMP_GT_OQ))) != 0) {
+      stable = false;
+      continue;
+    }
+    const unsigned sure = static_cast<unsigned>(_mm256_movemask_pd(_mm256_and_pd(
+        in_range, _mm256_cmp_pd(d, _mm256_sub_pd(e, m), _CMP_LE_OQ))));
+    if (sure != 0xFu) {
+      double xs[4], ws[4];
+      _mm256_storeu_pd(xs, xo);
+      _mm256_storeu_pd(ws, wo);
+      _mm256_zeroupper();
+      stable = open_lanes_stable(~sure & 0xFu, nx + i, nw + i, xs, ws, floor, eps);
+    }
+  }
+  _mm256_zeroupper();
+  count += gather_row_part(nx, nw, x, w, keep, sx, sw, k, h, i, n, &stable,
+                           floor, eps);
+  return {count, stable};
+}
+
 const Kernels kAvx2Kernels = {
     SimdLevel::kAvx2,       halve_avx2,
     scale_assign_avx2,      accumulate_scaled_avx2,
     add_avx2,               row_stable_avx2,
     residual_keep_avx2,     ratio_accumulate_avx2,
-    gather_row_avx2,
+    gather_row_avx2,        gather_row_stable_avx2,
 };
 
 // ---------------------------------------------------------------------------
@@ -436,12 +550,81 @@ GT_AVX512 std::uint64_t gather_row_avx512(double* nx, double* nw,
   return count + gather_row_part(nx, nw, x, w, keep, sx, sw, k, h, i, n);
 }
 
+/// gather_row_stable_avx2 on eight lanes.
+GT_AVX512 GatherVerdict gather_row_stable_avx512(
+    double* nx, double* nw, const double* x, const double* w, double keep,
+    const double* const* sx, const double* const* sw, std::size_t k, double h,
+    double floor, double eps, std::size_t n) {
+  const __m512d kv = _mm512_set1_pd(keep);
+  const __m512d half = _mm512_set1_pd(0.5);
+  const __m512d hv = _mm512_set1_pd(h);
+  const __m512d zero = _mm512_setzero_pd();
+  const __m512d wlo = _mm512_set1_pd(verdict_weight_bound(floor, eps));
+  const __m512d big = _mm512_set1_pd(kVerdictMax);
+  const __m512d epsv = _mm512_set1_pd(eps);
+  const __m512d margin = _mm512_set1_pd(kVerdictMargin);
+  const bool count_payload = h != 0.0;
+  std::uint64_t count = 0;
+  bool stable = true;
+  std::size_t i = 0;
+  for (; i + 8 <= n; i += 8) {
+    const __m512d xo = _mm512_loadu_pd(x + i);
+    const __m512d wo = _mm512_loadu_pd(w + i);
+    __m512d vx = _mm512_mul_pd(xo, kv);
+    __m512d vw = _mm512_mul_pd(wo, kv);
+    for (std::size_t s = 0; s < k; ++s) {
+      vx = _mm512_add_pd(vx, _mm512_mul_pd(_mm512_loadu_pd(sx[s] + i), half));
+      vw = _mm512_add_pd(vw, _mm512_mul_pd(_mm512_loadu_pd(sw[s] + i), half));
+    }
+    _mm512_storeu_pd(nx + i, vx);
+    _mm512_storeu_pd(nw + i, vw);
+    if (count_payload) {
+      const __mmask8 nz =
+          _mm512_cmp_pd_mask(_mm512_mul_pd(hv, xo), zero, _CMP_NEQ_UQ) |
+          _mm512_cmp_pd_mask(_mm512_mul_pd(hv, wo), zero, _CMP_NEQ_UQ);
+      count += static_cast<unsigned>(__builtin_popcount(nz));
+    }
+    if (!stable) continue;
+    const __m512d a = _mm512_mul_pd(vx, wo);
+    const __m512d b = _mm512_mul_pd(xo, vw);
+    const __m512d d = _mm512_abs_pd(_mm512_sub_pd(a, b));
+    const __m512d e = _mm512_mul_pd(_mm512_mul_pd(epsv, wo), vw);
+    const __m512d m = _mm512_mul_pd(
+        margin,
+        _mm512_add_pd(_mm512_add_pd(_mm512_abs_pd(a), _mm512_abs_pd(b)), e));
+    const __mmask8 in_range =
+        _mm512_cmp_pd_mask(wo, wlo, _CMP_GT_OQ) &
+        _mm512_cmp_pd_mask(wo, big, _CMP_LE_OQ) &
+        _mm512_cmp_pd_mask(vw, wlo, _CMP_GT_OQ) &
+        _mm512_cmp_pd_mask(vw, big, _CMP_LE_OQ) &
+        _mm512_cmp_pd_mask(_mm512_abs_pd(xo), big, _CMP_LE_OQ) &
+        _mm512_cmp_pd_mask(_mm512_abs_pd(vx), big, _CMP_LE_OQ);
+    if ((in_range & _mm512_cmp_pd_mask(d, _mm512_add_pd(e, m), _CMP_GT_OQ)) != 0) {
+      stable = false;
+      continue;
+    }
+    const unsigned sure =
+        in_range & _mm512_cmp_pd_mask(d, _mm512_sub_pd(e, m), _CMP_LE_OQ);
+    if (sure != 0xFFu) {
+      double xs[8], ws[8];
+      _mm512_storeu_pd(xs, xo);
+      _mm512_storeu_pd(ws, wo);
+      _mm256_zeroupper();
+      stable = open_lanes_stable(~sure & 0xFFu, nx + i, nw + i, xs, ws, floor, eps);
+    }
+  }
+  _mm256_zeroupper();
+  count += gather_row_part(nx, nw, x, w, keep, sx, sw, k, h, i, n, &stable,
+                           floor, eps);
+  return {count, stable};
+}
+
 const Kernels kAvx512Kernels = {
     SimdLevel::kAvx512,     halve_avx512,
     scale_assign_avx512,    accumulate_scaled_avx512,
     add_avx512,             row_stable_avx2,
     residual_keep_avx2,     ratio_accumulate_avx2,
-    gather_row_avx512,
+    gather_row_avx512,      gather_row_stable_avx512,
 };
 
 #endif  // GT_SIMD_X86
@@ -614,7 +797,7 @@ const Kernels kNeonKernels = {
     scale_assign_neon,      accumulate_scaled_neon,
     add_neon,               row_stable_neon,
     residual_keep_neon,     ratio_accumulate_neon,
-    gather_row_neon,
+    gather_row_neon,        nullptr,
 };
 
 #endif  // GT_SIMD_NEON

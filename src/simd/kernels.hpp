@@ -32,6 +32,13 @@
 
 namespace gt::simd {
 
+/// What gather_row_stable returns: gather_row's payload count, and the
+/// stability verdict of the row it wrote.
+struct GatherVerdict {
+  std::uint64_t payload;
+  bool stable;
+};
+
 /// One resolved kernel set. Obtained once per engine via kernels(); the
 /// function pointers are immutable after process start.
 struct Kernels {
@@ -91,6 +98,21 @@ struct Kernels {
                               const double* const* sx,
                               const double* const* sw, std::size_t k,
                               double h, std::size_t n);
+
+  /// gather_row that also decides the row's stability from the values it
+  /// loads and stores: the stored row and the payload are gather_row's,
+  /// bit for bit, and `stable` is row_stable(nx, nw, x, w, floor, eps, n)
+  /// against the old row as loaded. The row may be updated in place, and
+  /// no copy of the old row is needed. Lanes are decided by the
+  /// division-free test below, or by element_stable where it cannot tell.
+  /// Null at the scalar and NEON levels, whose callers copy the old row
+  /// and call row_stable after gather_row.
+  GatherVerdict (*gather_row_stable)(double* nx, double* nw, const double* x,
+                                     const double* w, double keep,
+                                     const double* const* sx,
+                                     const double* const* sw, std::size_t k,
+                                     double h, double floor, double eps,
+                                     std::size_t n);
 };
 
 /// One element of Kernels::row_stable, and the scalar definition every
@@ -108,6 +130,40 @@ inline bool element_stable(double x, double w, double x_old, double w_old,
   const double prev = x_old / w_old;
   return !std::isnan(prev) && !(std::abs(x / w - prev) > eps);
 }
+
+// The division-free verdict of gather_row_stable. For an element with new
+// values (x', w') and old values (x, w), element_stable divides twice and
+// compares d = fl(fl(x'/w') - fl(x/w)) with eps. The kernel compares
+//   D = |fl(a - b)|,  a = fl(x'·w),  b = fl(x·w'),  with  E = fl(fl(eps·w)·w')
+// and the margin M = K·fl(fl(|a| + |b|) + E), K = 2^-48 = 32u, where
+// u = 2^-53 is the unit roundoff. D <= fl(E - M) counts the element
+// stable, D > fl(E + M) unstable. element_stable decides every other
+// element, and every element outside these ranges: w and w' in
+// (max(floor, 2^-400), 2^400], |x| and |x'| at most 2^400 (so a
+// non-finite value always goes to it; zero and tiny masses do not), and
+// eps in [2^-100, 2^100] (else every element goes to it).
+//
+// Why the two verdicts agree. Inside the ranges w, w' > floor, every
+// product and ratio is finite, E and M are normal numbers, and a product
+// or ratio that underflows (a tiny mass) is off by at most h = 2^-1075.
+// Write W = w·w', S = |x'w| + |xw'| and Δ = x'w - xw' exactly, so that
+// |x'/w' - x/w| = |Δ|/W and |x'/w'| + |x/w| = S/W. With relative error at
+// most u per rounding, plus h per underflow:
+//   (1-u)(|Δ| - uS - 2hW) <= W·|d| <= (1+u)(|Δ| + uS + 2hW)
+//   (1-u)(|Δ| - uS - 2h)  <=   D   <= (1+u)(|Δ| + uS + 2h)
+//   (1-u)^2·eps·W <= E <= (1+u)^2·eps·W,   M >= K(1-u)^3(S + eps·W) - 2Kh.
+// Stable: D <= fl(E - M) <= (1+u)(E - M) gives
+//   W·|d| <= (1+u)^4/(1-u)·eps·W - K(1-u)^4(S + eps·W) + 2uS·(1+u) + 4h(1+W)
+//         <= eps·W + 6u·eps·W - 31u(S + eps·W) + 3uS + 4h(1+W)
+//         <= eps·W - 25u·eps·W + 4h(1+W)  <=  eps·W,
+// since eps·W >= 2^-100·W and 1 <= 2^800·W make 4h(1+W) < 2^-270·W, far
+// below 25u·eps·W >= 2^-149·W. So |d| <= eps: element_stable is true.
+// Unstable: D > fl(E + M) >= (1-u)(E + M) gives, the same way,
+//   W·|d| >= (1-5u)·eps·W + 31u(S + eps·W) - 2uS - 4h(1+W)  >  eps·W,
+// so |d| > eps and element_stable is false. The ranges are wide: a
+// column's gossip weights sum to 1 and its masses to at most the total
+// reputation, and a weight at most halves per step, so only a run of
+// more than 400 steps without a receipt falls below 2^-400.
 
 /// Kernel set for a level. kAuto resolves via resolve_level(); a concrete
 /// unsupported level degrades to the scalar set (mirroring

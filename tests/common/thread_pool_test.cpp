@@ -1,13 +1,18 @@
 #include "common/thread_pool.hpp"
 
+#include <dirent.h>
 #include <gtest/gtest.h>
 #include <sched.h>
+#include <sys/types.h>
 
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <mutex>
 #include <numeric>
+#include <string>
 #include <tuple>
 #include <vector>
 
@@ -170,6 +175,126 @@ TEST(ThreadPool, ZeroLanesFollowTheAffinityMask) {
   ASSERT_EQ(::sched_setaffinity(0, sizeof(one), &one), 0);
   EXPECT_EQ(available_cpus(), 1u);
   EXPECT_EQ(ThreadPool(0).num_threads(), 1u);
+}
+
+/// Ids of this process's threads named `name` (/proc/self/task/*/comm;
+/// every thread when `name` is empty), leaving out `old`: the kernel wakes
+/// pthread_join before it unlists the exiting thread, so an earlier pool's
+/// worker can linger there briefly.
+std::vector<pid_t> threads_named(const std::string& name,
+                                 const std::vector<pid_t>& old = {}) {
+  std::vector<pid_t> out;
+  DIR* dir = ::opendir("/proc/self/task");
+  if (dir == nullptr) return out;
+  while (const dirent* e = ::readdir(dir)) {
+    const pid_t tid = static_cast<pid_t>(std::atoi(e->d_name));
+    if (tid <= 0 || std::find(old.begin(), old.end(), tid) != old.end()) continue;
+    std::ifstream comm(std::string("/proc/self/task/") + e->d_name + "/comm");
+    std::string line;
+    if (std::getline(comm, line) && (name.empty() || line == name))
+      out.push_back(tid);
+  }
+  ::closedir(dir);
+  return out;
+}
+
+cpu_set_t affinity_of(pid_t tid) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  EXPECT_EQ(::sched_getaffinity(tid, sizeof(set), &set), 0);
+  return set;
+}
+
+cpu_set_t cpus(std::initializer_list<int> list) {
+  cpu_set_t set;
+  CPU_ZERO(&set);
+  for (const int c : list) CPU_SET(c, &set);
+  return set;
+}
+
+/// The first two CPUs of `mask`; false when it has fewer.
+bool two_cpus(const cpu_set_t& mask, int* a, int* b) {
+  int found = 0;
+  for (int c = 0; c < CPU_SETSIZE && found < 2; ++c)
+    if (CPU_ISSET(c, &mask)) (found++ == 0 ? *a : *b) = c;
+  return found == 2;
+}
+
+void touch_every_lane(ThreadPool& pool) {
+  pool.parallel_for(0, pool.num_threads(), pool.num_threads(),
+                    [](std::size_t, std::size_t, std::size_t) {});
+}
+
+TEST(ThreadPool, OneLanePerCpuPinsTheWorkerOffTheCallersCpu) {
+  AffinityRestorer restore;
+  ASSERT_TRUE(restore.ok());
+  int a = -1, b = -1;
+  if (!two_cpus(restore.saved(), &a, &b))
+    GTEST_SKIP() << "needs 2 CPUs in the affinity mask, have "
+                 << CPU_COUNT(&restore.saved());
+  const cpu_set_t both = cpus({a, b});
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(both), &both), 0);
+  const std::vector<pid_t> old = threads_named("");
+  ThreadPool pool(0);
+  ASSERT_EQ(pool.num_threads(), 2u);
+  const std::vector<pid_t> workers = threads_named("gt-lane1", old);
+  ASSERT_EQ(workers.size(), 1u);
+  EXPECT_TRUE(threads_named("gt-lane2", old).empty());
+
+  // Under the 2-CPU mask: the worker may run on exactly one of the two
+  // CPUs, and not on the one the caller ran on (when the caller did not
+  // move meanwhile).
+  const int before = ::sched_getcpu();
+  touch_every_lane(pool);
+  const int after = ::sched_getcpu();
+  cpu_set_t got = affinity_of(workers[0]);
+  EXPECT_EQ(CPU_COUNT(&got), 1);
+  EXPECT_TRUE(CPU_ISSET(a, &got) || CPU_ISSET(b, &got));
+  if (before == after) {
+    EXPECT_FALSE(CPU_ISSET(before, &got)) << "worker shares the caller's CPU " << before;
+  }
+
+  // The caller on a: the worker goes to b. The caller moves to b: the
+  // next parallel_for moves the worker to a.
+  for (const auto& [caller, worker] : {std::pair{a, b}, std::pair{b, a}, std::pair{a, b}}) {
+    const cpu_set_t one = cpus({caller});
+    ASSERT_EQ(::sched_setaffinity(0, sizeof(one), &one), 0);
+    touch_every_lane(pool);
+    got = affinity_of(workers[0]);
+    EXPECT_EQ(CPU_COUNT(&got), 1) << "caller on " << caller;
+    EXPECT_TRUE(CPU_ISSET(worker, &got)) << "caller on " << caller;
+  }
+}
+
+TEST(ThreadPool, MoreLanesThanCpusOrOneCpuLeaveWorkersOnTheFullMask) {
+  AffinityRestorer restore;
+  ASSERT_TRUE(restore.ok());
+  int a = -1, b = -1;
+  if (!two_cpus(restore.saved(), &a, &b))
+    GTEST_SKIP() << "needs 2 CPUs in the affinity mask, have "
+                 << CPU_COUNT(&restore.saved());
+  const cpu_set_t both = cpus({a, b});
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(both), &both), 0);
+  {
+    const std::vector<pid_t> old = threads_named("");
+    ThreadPool pool(3);
+    touch_every_lane(pool);
+    for (const char* name : {"gt-lane1", "gt-lane2"}) {
+      const std::vector<pid_t> workers = threads_named(name, old);
+      ASSERT_EQ(workers.size(), 1u) << name;
+      const cpu_set_t got = affinity_of(workers[0]);
+      EXPECT_TRUE(CPU_EQUAL(&got, &both)) << name << " on " << CPU_COUNT(&got) << " CPUs";
+    }
+  }
+  const cpu_set_t one = cpus({a});
+  ASSERT_EQ(::sched_setaffinity(0, sizeof(one), &one), 0);
+  const std::vector<pid_t> old = threads_named("");
+  ThreadPool pool(2);
+  touch_every_lane(pool);
+  const std::vector<pid_t> workers = threads_named("gt-lane1", old);
+  ASSERT_EQ(workers.size(), 1u);
+  const cpu_set_t got = affinity_of(workers[0]);
+  EXPECT_TRUE(CPU_EQUAL(&got, &one));
 }
 
 }  // namespace

@@ -1,10 +1,12 @@
 // The in-place write order of a gossip step (inplace_order) on routes that
 // random draws rarely produce: every node in a 2-cycle, one n-cycle, a
 // star, every push lost, every node idle, a masked subset, a ring, and
-// n = 1, 2, 3. Each order must be a permutation whose non-detached nodes
-// follow their targets, with one detached node per cycle; applying
-// gather_row in place along it, with the detached rows' new values parked
-// until the end, must match a two-buffer step bit for bit.
+// n = 1, 2, 3; and on routes shaped like VectorGossip's draws at n = 512
+// (every node pushes to a uniform other node, a few pushes lost). Each
+// order must be a permutation whose non-detached nodes follow their
+// targets, with one detached node per cycle; applying gather_row in place
+// along it, with the detached rows' new values parked until the end, must
+// match a two-buffer step bit for bit.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -107,6 +109,26 @@ std::vector<Route> routes() {
     }
     out.push_back(r);
   }
+  // Draw-shaped: uniform targets over the other nodes, each push lost with
+  // probability 0, 1/50 or 1/8.
+  for (const std::uint64_t loss_in : {0, 50, 8}) {
+    for (int k = 0; k < 3; ++k) {
+      constexpr std::size_t size = 512;
+      std::string name = "draw512_loss";
+      name += std::to_string(loss_in) + "_" + std::to_string(k);
+      Route r = make_route(std::move(name), size);
+      for (std::size_t i = 0; i < size; ++i) {
+        std::size_t to = rng.next_below(size - 1);
+        if (to >= i) ++to;
+        if (loss_in != 0 && rng.next_below(loss_in) == 0) {
+          r.push[i] = Push::kLost;
+        } else {
+          deliver(r, i, to);
+        }
+      }
+      out.push_back(r);
+    }
+  }
   return out;
 }
 
@@ -153,9 +175,8 @@ TEST(InplaceOrder, PermutationTargetsFirstOneDetachedPerCycle) {
     SCOPED_TRACE(route.name);
     const std::size_t n = route.target.size();
     const Buckets b = buckets_of(route);
-    std::vector<std::uint32_t> order(n);
-    std::vector<std::uint8_t> mark(n);
-    const std::size_t m = inplace_order(route.target, b.off, b.senders, order, mark);
+    std::vector<std::uint32_t> order(n), scratch(n);
+    const std::size_t m = inplace_order(route.target, b.off, order, scratch);
 
     std::vector<std::size_t> pos(n, n);
     for (std::size_t k = 0; k < n; ++k) {
@@ -188,10 +209,8 @@ TEST(InplaceOrder, PermutationTargetsFirstOneDetachedPerCycle) {
   // The worst case the parked rows are reserved for.
   const Route pairs = routes().front();
   const Buckets b = buckets_of(pairs);
-  std::vector<std::uint32_t> order(pairs.target.size());
-  std::vector<std::uint8_t> mark(order.size());
-  EXPECT_EQ(inplace_order(pairs.target, b.off, b.senders, order, mark),
-            order.size() / 2);
+  std::vector<std::uint32_t> order(pairs.target.size()), scratch(order.size());
+  EXPECT_EQ(inplace_order(pairs.target, b.off, order, scratch), order.size() / 2);
 }
 
 TEST(InplaceOrder, InPlaceGatherMatchesTwoBuffers) {
@@ -202,9 +221,8 @@ TEST(InplaceOrder, InPlaceGatherMatchesTwoBuffers) {
     SCOPED_TRACE(route.name);
     const std::size_t n = route.target.size();
     const Buckets b = buckets_of(route);
-    std::vector<std::uint32_t> order(n);
-    std::vector<std::uint8_t> mark(n);
-    const std::size_t m = inplace_order(route.target, b.off, b.senders, order, mark);
+    std::vector<std::uint32_t> order(n), scratch(n);
+    const std::size_t m = inplace_order(route.target, b.off, order, scratch);
 
     std::vector<double> x(n * cols), w(n * cols);
     for (auto& e : x) e = rng.next_double(-1.0, 1.0);

@@ -470,6 +470,161 @@ TEST_P(SimdKernelSweep, GatherRowMatchesComposedKernels) {
   }
 }
 
+// gather_row_stable against its oracle: the stored row and the payload
+// must be gather_row's at the same level, bit for bit, and the verdict
+// row_stable's on that row against the old one. Each row is built so the
+// gather writes chosen new values: with keep 0.5 and the two senders -old
+// and 2·new, every finite element comes out as exactly 0 + new. Planted
+// lanes cover weights at and below the floor (also with the ratio kept,
+// under a floor above the kernel's own 2^-400 bound), NaN, infinite and
+// subnormal weights, ratios at and past 2^400, and ratio moves of eps ± 1,
+// 2 and 4 ulps of either sign on a stable background; random rows move
+// their ratios by up to ± 2 eps.
+TEST_P(SimdKernelSweep, GatherRowStableMatchesGatherRowAndRowStable) {
+  const Kernels& scalar = kernels(SimdLevel::kScalar);
+  const Kernels& vec = kernels(GetParam());
+  if (vec.gather_row_stable == nullptr)
+    GTEST_SKIP() << level_name(vec.level) << " has no fused verdict";
+  struct Lane {
+    double x, w, x_old, w_old;
+  };
+  // Four rows: new and old values, and the two senders that make the new
+  // ones. Rows are written in place or to a separate (parked) row.
+  const auto check = [&](const std::vector<Lane>& lanes, double floor,
+                         double eps, double h, const char* what) {
+    const std::size_t n = lanes.size();
+    std::vector<double> x(n), w(n), s1x(n), s1w(n), s2x(n), s2w(n);
+    for (std::size_t i = 0; i < n; ++i) {
+      x[i] = lanes[i].x_old;
+      w[i] = lanes[i].w_old;
+      s1x[i] = -x[i];
+      s1w[i] = -w[i];
+      s2x[i] = 2.0 * lanes[i].x;
+      s2w[i] = 2.0 * lanes[i].w;
+    }
+    const double* sx[2] = {s1x.data(), s2x.data()};
+    const double* sw[2] = {s1w.data(), s2w.data()};
+    std::vector<double> rx(n), rw(n);
+    const std::uint64_t payload =
+        vec.gather_row(rx.data(), rw.data(), x.data(), w.data(), 0.5, sx, sw, 2, h, n);
+    const bool stable =
+        scalar.row_stable(rx.data(), rw.data(), x.data(), w.data(), floor, eps, n);
+    std::vector<double> px(n, -1.0), pw(n, -1.0);
+    const GatherVerdict parked = vec.gather_row_stable(
+        px.data(), pw.data(), x.data(), w.data(), 0.5, sx, sw, 2, h, floor, eps, n);
+    EXPECT_BITEQ_VEC(px, rx);
+    EXPECT_BITEQ_VEC(pw, rw);
+    EXPECT_EQ(parked.payload, payload) << what;
+    EXPECT_EQ(parked.stable, stable) << what << " n=" << n << " eps=" << eps;
+    std::vector<double> ix = x, iw = w;
+    const GatherVerdict in_place = vec.gather_row_stable(
+        ix.data(), iw.data(), ix.data(), iw.data(), 0.5, sx, sw, 2, h, floor, eps, n);
+    EXPECT_BITEQ_VEC(ix, rx);
+    EXPECT_BITEQ_VEC(iw, rw);
+    EXPECT_EQ(in_place.payload, payload) << what;
+    EXPECT_EQ(in_place.stable, stable) << what << " in place n=" << n << " eps=" << eps;
+  };
+
+  const auto ulps = [](double v, int k) {
+    for (; k > 0; --k) v = std::nextafter(v, kInf);
+    for (; k < 0; ++k) v = std::nextafter(v, -kInf);
+    return v;
+  };
+  const double big = 0x1p400;
+  std::vector<std::size_t> lengths;
+  for (std::size_t n = 1; n <= 17; ++n) lengths.push_back(n);
+  lengths.push_back(48);
+  lengths.push_back(128);
+  // 2^-300 is a floor above the kernel's own weight bound (2^-400).
+  for (const double floor : {gossip::kWeightFloor, 0.0, 0x1p-300}) {
+    for (const double eps : {1e-4, 0.25, 1e-200}) {
+      std::vector<std::pair<const char*, Lane>> plants = {
+          {"w at floor", {2.0, floor, 2.0, 1.0}},
+          {"w_old at floor", {2.0, 1.0, 2.0, floor}},
+          {"ratio kept, w at floor", {2.0 * floor, floor, 2.0, 1.0}},
+          {"ratio kept, w_old at floor", {2.0, 1.0, 2.0 * floor, floor}},
+          {"w below floor", {2.0, -0.5, 2.0, 1.0}},
+          {"NaN x", {kNaN, 1.0, 2.0, 1.0}},
+          {"NaN x_old", {2.0, 1.0, kNaN, 1.0}},
+          {"NaN w", {2.0, kNaN, 2.0, 1.0}},
+          {"NaN w_old", {2.0, 1.0, 2.0, kNaN}},
+          {"+inf x", {kInf, 1.0, 2.0, 1.0}},
+          {"-inf x_old", {2.0, 1.0, -kInf, 1.0}},
+          {"inf w", {2.0, kInf, 2.0, 1.0}},
+          {"inf w_old", {2.0, 1.0, 2.0, kInf}},
+          {"subnormal w", {1e-310, 0x1p-1030, 2.0, 1.0}},
+          {"subnormal w_old", {2.0, 1.0, 1e-320, 0x1p-1040}},
+          {"tiny weights", {0x1p-399, 0x1p-400, 0x1p-399, 0x1p-400}},
+          {"ratio 2^400", {big, 1.0, big, 1.0}},
+          {"ratio past 2^400", {2.0 * big, 1.0, 2.0 * big, 1.0}},
+          {"ratio 2^700 in range", {big, 0x1p-300, big, 0x1p-300}},
+          {"zero masses", {0.0, 0.5, 0.0, 0.25}},
+          {"tiny masses", {5e-324, 0.5, 1e-320, 0.25}},
+      };
+      // Ratio moves of eps ± 1, 2, 4 ulps from old ratios 0 and 3, either
+      // sign, on unit and non-unit weights.
+      for (const int k : {-4, -2, -1, 0, 1, 2, 4}) {
+        for (const double sign : {1.0, -1.0}) {
+          const double move = sign * ulps(eps, k);
+          plants.push_back({"eps move from 0", {move, 1.0, 0.0, 1.0}});
+          plants.push_back({"eps move from 3", {3.0 + move, 1.0, 3.0, 1.0}});
+          plants.push_back({"eps move, weights 0.75/3",
+                            {0.75 * (3.0 + move), 0.75, 9.0, 3.0}});
+          plants.push_back({"eps move, weights 1/3 / 0.1",
+                            {(-1.5 + move) / 3.0, 1.0 / 3.0, -0.15, 0.1}});
+        }
+      }
+      for (const std::size_t n : lengths) {
+        std::vector<Lane> background(n);
+        for (std::size_t i = 0; i < n; ++i) {
+          const double wn = 0.5 + 0.25 * static_cast<double>(i);
+          const double wo = 1.0 + static_cast<double>(i);
+          background[i] = {2.0 * wn, wn, 2.0 * wo, wo};
+        }
+        check(background, floor, eps, 0.5, "background");
+        std::vector<std::size_t> positions;
+        if (n <= 17) {
+          for (std::size_t p = 0; p < n; ++p) positions.push_back(p);
+        } else {
+          positions = {0, 1, 3, 4, 7, 8, n / 2, n - 9, n - 8, n - 1};
+        }
+        for (const auto& [what, lane] : plants) {
+          for (const std::size_t p : positions) {
+            std::vector<Lane> lanes = background;
+            lanes[p] = lane;
+            check(lanes, floor, eps, p % 2 ? 1.0 : 0.5, what);
+          }
+        }
+      }
+    }
+  }
+
+  // Random rows whose ratios move by up to ± 2 eps: a mix of stable and
+  // unstable lanes near the threshold, at random weights.
+  std::uint64_t state = 0x5eed;
+  const auto uniform = [&state] {
+    state ^= state << 13;
+    state ^= state >> 7;
+    state ^= state << 17;
+    return static_cast<double>(state >> 11) * 0x1.0p-53;
+  };
+  for (int trial = 0; trial < 400; ++trial) {
+    const double eps = trial % 2 ? 1e-4 : 1e-6;
+    const std::size_t n = lengths[static_cast<std::size_t>(trial) % lengths.size()];
+    // A narrow band keeps most rows near the verdict's edge.
+    const double band = trial % 3 == 0 ? 2.0 : 1.0 + 0x1p-20;
+    std::vector<Lane> lanes(n);
+    for (auto& lane : lanes) {
+      lane.w_old = 0.001 + uniform();
+      lane.w = 0.001 + uniform();
+      const double ratio = 4.0 * uniform() - 2.0;
+      lane.x_old = ratio * lane.w_old;
+      lane.x = (ratio + eps * band * (2.0 * uniform() - 1.0)) * lane.w;
+    }
+    check(lanes, gossip::kWeightFloor, eps, 0.5, "random");
+  }
+}
+
 TEST_P(SimdKernelSweep, UnalignedHeadsMatchScalar) {
   const Kernels& scalar = kernels(SimdLevel::kScalar);
   const Kernels& vec = kernels(GetParam());

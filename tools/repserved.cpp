@@ -14,9 +14,12 @@
 // use (its affinity mask, so `taskset -c 0,1` gives 2), at most one per
 // column block; the startup line reports the count as `lanes=L`. The lanes'
 // worker threads exist before the ready line, built by the startup
-// aggregation. Results are bit-identical at any lane count. With more than
-// one lane, each lane yields its CPU after every block step, so the event
-// loop, if it shares a CPU with a lane, answers within one block step.
+// aggregation. Results are bit-identical at any lane count. With one lane
+// per CPU, the pool pins its workers (`gt-lane1`, ...) off the CPU the
+// fold loop runs on (see thread_pool.hpp). With more than one lane, each
+// lane yields its CPU after every block step, so the event loop
+// (`gt-serve`), if it shares a CPU with a lane, answers within one block
+// step.
 //
 // Wake: the fold loop sleeps in ReputationStore::wait_feedback until the
 // queue holds the INGESTs still missing from the next refold, or 50 ms
